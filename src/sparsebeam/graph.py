@@ -4,8 +4,14 @@ Each mask head defines a directed graph (query -> key edges); the union
 over heads is the multi-head attention graph.  This module checks the
 residue-class partition induced by the global head, evaluates the
 gcd bridging condition under which the union graph connects all
-classes, and measures hop diameters by brute-force BFS.  It measures;
-it does not prove.
+classes, and measures hop diameters by breadth-first search.  It
+measures; it does not prove.
+
+The search packs the union graph into a (tokens, ceil(tokens/64))
+uint64 bit matrix and runs level-synchronous BFS from a chunk of
+sources at once, each source's visited set held as one bit row.  Chunks
+are sized so that one level's gathered out-rows stay near 1 MB, the
+peak working set beyond the bit matrix itself.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .masks import GridSpec, SparseMaskSet, build_doppler_masks, global_stride
+from .masks import GridSpec, SparseMaskSet, _pairs_to_csr, build_doppler_masks, global_stride
 
 DEFAULT_BFS_CAP = 4096
 DEFAULT_SAMPLE_SOURCES = 1024
 _WITNESS_LIMIT = 10
+_CHUNK_BYTES = 1 << 20
 
 
 def equivalence_classes(tokens: int, stride: int) -> list[np.ndarray]:
@@ -81,29 +88,52 @@ def bridging_condition(step: int, stride: int) -> bool:
     return math.gcd(step, stride) == 1
 
 
-def _gather_neighbors(indptr, indices, nodes):
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_starts = np.zeros(nodes.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=out_starts[1:])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(out_starts, counts) + np.repeat(indptr[nodes], counts)
-    return indices[pos]
+def _bit(j):
+    return np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+
+
+def _adjacency_bits(indptr, indices, tokens):
+    """Pack a CSR graph into a (tokens, ceil(tokens/64)) uint64 bit
+    matrix: bit j % 64 of word j // 64 in row i is set iff i -> j."""
+    adj = np.zeros((tokens, -(-tokens // 64)), dtype=np.uint64)
+    rows = np.repeat(np.arange(tokens, dtype=np.int64), np.diff(indptr))
+    np.bitwise_or.at(adj, (rows, indices >> 6), _bit(indices))
+    return adj
+
+
+def _bfs_levels(adj, sources):
+    """Hop distances from each of `sources` (int64, -1 if unreachable),
+    one row per source, by level-synchronous BFS over all of them at once.
+
+    `reach` holds each source's visited set as bits; a level ORs the
+    out-rows of every frontier node per source in one `reduceat`.
+    """
+    tokens, n = adj.shape[0], sources.size
+    dist = np.full((n, tokens), -1, dtype=np.int64)
+    dist[np.arange(n), sources] = 0
+    reach = np.zeros((n, adj.shape[1]), dtype=np.uint64)
+    reach[np.arange(n), sources >> 6] = _bit(sources)
+    owner, nodes = np.arange(n), sources
+    level = 0
+    while nodes.size:
+        level += 1
+        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        active = owner[starts]
+        fresh = np.bitwise_or.reduceat(adj[nodes], starts, axis=0)
+        fresh &= ~reach[active]
+        reach[active] |= fresh
+        octets = fresh.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, axis=1, count=tokens, bitorder="little")
+        row, nodes = np.nonzero(bits)
+        owner = active[row]
+        dist[owner, nodes] = level
+    return dist
 
 
 def _bfs_distances(indptr, indices, source, tokens):
-    dist = np.full(tokens, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        nbrs = np.unique(_gather_neighbors(indptr, indices, frontier))
-        fresh = nbrs[dist[nbrs] < 0]
-        dist[fresh] = level
-        frontier = fresh
-    return dist
+    """Hop distances from one source (int64, -1 if unreachable)."""
+    adj = _adjacency_bits(indptr, indices, tokens)
+    return _bfs_levels(adj, np.array([source], dtype=np.int64))[0]
 
 
 def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False):
@@ -117,17 +147,7 @@ def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False
         return indptr, indices
     tokens = maskset.tokens
     src = np.repeat(np.arange(tokens, dtype=np.int64), np.diff(indptr))
-    heads_both = np.concatenate([src, indices])
-    tails_both = np.concatenate([indices, src])
-    order = np.lexsort((tails_both, heads_both))
-    heads_both, tails_both = heads_both[order], tails_both[order]
-    if heads_both.size:
-        keep = np.ones(heads_both.size, dtype=bool)
-        keep[1:] = (heads_both[1:] != heads_both[:-1]) | (tails_both[1:] != tails_both[:-1])
-        heads_both, tails_both = heads_both[keep], tails_both[keep]
-    out_indptr = np.zeros(tokens + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads_both, minlength=tokens), out=out_indptr[1:])
-    return out_indptr, tails_both
+    return _pairs_to_csr(np.concatenate([src, indices]), np.concatenate([indices, src]), tokens)
 
 
 @dataclass
@@ -172,7 +192,9 @@ def hop_diameter(
 
     Above `bfs_cap` tokens the exact sweep is refused unless
     `sample=True`, which measures from `sample_sources` uniformly drawn
-    sources instead (a lower bound, flagged in the result).
+    sources instead (a lower bound, flagged in the result).  At or below
+    `bfs_cap` tokens `sample` is ignored and every token is a source.
+    Unreachable-pair witnesses are listed by source, then target.
     """
     if mode not in ("directed", "undirected"):
         raise ValueError("mode must be 'directed' or 'undirected'")
@@ -190,18 +212,21 @@ def hop_diameter(
         sources = np.arange(tokens, dtype=np.int64)
         sampled = False
 
+    adj = _adjacency_bits(indptr, indices, tokens)
+    # Worst case, one level gathers every token's out-row for every
+    # source of the chunk; size chunks so that stays near _CHUNK_BYTES.
+    chunk = max(1, _CHUNK_BYTES // (tokens * adj.shape[1] * adj.itemsize))
     best = 0
     witnesses: list[tuple[int, int]] = []
-    for src in sources:
-        dist = _bfs_distances(indptr, indices, int(src), tokens)
-        missing = np.flatnonzero(dist < 0)
-        if missing.size:
-            for j in missing[: _WITNESS_LIMIT - len(witnesses)]:
-                witnesses.append((int(src), int(j)))
-            if len(witnesses) >= _WITNESS_LIMIT:
-                break
-        else:
-            best = max(best, int(dist.max()))
+    for lo in range(0, sources.size, chunk):
+        block = sources[lo : lo + chunk]
+        dist = _bfs_levels(adj, block)
+        rows, cols = np.nonzero(dist < 0)
+        take = _WITNESS_LIMIT - len(witnesses)
+        witnesses += zip(block[rows[:take]].tolist(), cols[:take].tolist())
+        if len(witnesses) >= _WITNESS_LIMIT:
+            break
+        best = max(best, int(dist.max()))
     if witnesses:
         return HopDiameterResult(mode, None, witnesses, source_count=len(sources), sampled=sampled)
     return HopDiameterResult(mode, best, [], source_count=len(sources), sampled=sampled)

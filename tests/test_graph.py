@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebeam import (
     GridSpec,
@@ -144,6 +146,34 @@ class TestHopDiameter:
         assert (result.diameter is not None) == oracle_reachable
         if oracle_reachable:
             assert result.diameter == oracle_diameter
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        symbols=st.integers(1, 5),
+        subcarriers=st.integers(1, 6),
+        heads=st.integers(1, 3),
+        mode=st.sampled_from(["directed", "undirected"]),
+    )
+    def test_random_masks_match_boolean_powering_oracle(self, data, symbols, subcarriers, heads, mode):
+        grid = GridSpec(symbols, subcarriers, heads)
+        row = st.sets(st.integers(0, grid.tokens - 1)).map(sorted)
+        rows = data.draw(st.lists(st.lists(row, min_size=grid.tokens, max_size=grid.tokens), min_size=heads, max_size=heads))
+        dense = np.zeros((grid.tokens, grid.tokens), dtype=bool)
+        for head_rows in rows:
+            for i, keys in enumerate(head_rows):
+                dense[i, keys] = True
+        if mode == "undirected":
+            dense |= dense.T
+        oracle_diameter, oracle_reachable = diameter_by_powering(dense)
+        result = hop_diameter(SparseMaskSet.from_rows(grid, "doppler_aware", rows), mode)
+        assert result.reachable == oracle_reachable
+        assert result.diameter == oracle_diameter
+
+    def test_witnesses_in_source_then_target_order(self, canonical_masks):
+        result = hop_diameter(canonical_masks, "directed", heads=[0])
+        assert result.unreachable_pairs == [(0, j) for j in range(1, 11)]
+        assert result.source_count == 672 and not result.sampled
 
     def test_bfs_cap_and_sampling(self, canonical_masks):
         with pytest.raises(ResourceLimitError):

@@ -66,6 +66,10 @@ class TestHeadStrides:
         # stride up to s; followed verbatim, reported, not repaired
         assert head_strides(5, 10.0, 2) == (5, 1)
 
+    def test_bias_power_overflow_collapses_frequency_stride(self):
+        # 2.0**1100 overflows a float; the scale counts as infinite
+        assert head_strides(26, 2.0, 1100) == (26, 1)
+
 
 class TestHeadOffsets:
     def test_frozen_examples(self):
@@ -246,3 +250,26 @@ class TestMaskJson:
         masks = build_fixed_strided_masks(grid, causal=True)
         restored = SparseMaskSet.from_json_dict(masks.to_json_dict())
         assert restored.equals(masks)
+
+
+class TestRowValidation:
+    GRID = GridSpec(2, 2, 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([-1, 2], "out of range"), ([0, 4], "out of range"), ([2, 1], "ascending"), ([1, 1], "ascending")],
+    )
+    def test_malformed_row_rejected(self, row, message):
+        rows = [[0], row, [], [0, 1, 2, 3]]
+        with pytest.raises(ValueError, match=message):
+            SparseMaskSet.from_rows(self.GRID, "doppler_aware", [rows])
+
+    def test_descent_across_row_boundary_allowed(self):
+        rows = [[3], [0, 1], [], [2]]
+        masks = SparseMaskSet.from_rows(self.GRID, "doppler_aware", [rows])
+        assert [masks.row(0, i).tolist() for i in range(4)] == rows
+
+    def test_decreasing_row_pointers_rejected(self):
+        indptr = np.array([0, 2, 1, 3, 3])
+        with pytest.raises(ValueError, match="row pointers"):
+            SparseMaskSet(self.GRID, "doppler_aware", [(indptr, np.array([0, 1, 2]))])
