@@ -15,8 +15,6 @@ from __future__ import annotations
 import datetime
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +32,6 @@ from .beamforming import (
 )
 from .channel import DopplerConfig, OfdmConfig, _generate_true, add_estimation_error
 from .errors import SingularChannelError
-
-THREADS_ENV_VAR = "SPARSEBEAM_THREADS"
 
 KNOWN_METHODS = ("zf", "mmse", "opt")
 
@@ -132,6 +128,20 @@ class SweepResult:
         return self.to_json_dict() == other.to_json_dict()
 
 
+def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> np.ndarray:
+    """Combiner of `method` built from the channel `estimate`; `opt`
+    also climbs the sum rate against `target`.  The callees resolve
+    through this module's globals, so wrapping them here (perfbench's
+    tracer does) covers both the sweep and the CLI."""
+    if method == "zf":
+        return power_project(zf_combiner(estimate))
+    if method == "mmse":
+        return power_project(mmse_combiner(estimate, sigma2))
+    if method == "opt":
+        return optimize_sum_rate(estimate, target, sigma2, optimizer).combiner
+    raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
+
+
 def _one_realization(config: SweepConfig, point_key, sigma2, velocity_range, realization):
     """Per-realization rates and SINRs for every configured method.
 
@@ -155,12 +165,7 @@ def _one_realization(config: SweepConfig, point_key, sigma2, velocity_range, rea
         try:
             rates, sinrs = {}, {}
             for method in config.methods:
-                if method == "zf":
-                    w = power_project(zf_combiner(estimate))
-                elif method == "mmse":
-                    w = power_project(mmse_combiner(estimate, sigma2))
-                else:
-                    w = optimize_sum_rate(estimate, target, sigma2, config.optimizer).combiner
+                w = combiner(method, estimate, target, sigma2, config.optimizer)
                 rates[method] = sum_rate(w, target, sigma2)
                 sinrs[method] = sinr(w, target, sigma2)
             return rates, sinrs, resampled
@@ -174,21 +179,17 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
 
     Deterministic for a fixed config: realization r of cell c always
     uses the derived seed (seed, cell indices, r), so results do not
-    depend on execution order and the realization loop may run on the
-    thread pool sized by the SPARSEBEAM_THREADS environment variable.
+    depend on execution order.
     """
     points: list[SweepPoint] = []
-    workers = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
     for v_idx, velocity_range in enumerate(config.velocity_ranges):
         for s_idx, snr_db in enumerate(config.snr_db_list):
             sigma2 = 10.0 ** (-snr_db / 10.0)
             point_key = (v_idx, s_idx)
-            runner = lambda r: _one_realization(config, point_key, sigma2, velocity_range, r)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(runner, range(config.realizations)))
-            else:
-                outcomes = [runner(r) for r in range(config.realizations)]
+            outcomes = [
+                _one_realization(config, point_key, sigma2, velocity_range, r)
+                for r in range(config.realizations)
+            ]
             resampled = sum(out[2] for out in outcomes)
             if resampled > _RESAMPLE_BUDGET * max(1, config.realizations + resampled):
                 raise RuntimeError(

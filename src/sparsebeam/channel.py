@@ -103,12 +103,10 @@ class OfdmConfig:
 
 @dataclass
 class ChannelBatch:
-    """True (and optionally estimated) channel per resource element,
-    shape (symbols, subcarriers, antennas, users)."""
+    """True channel per resource element, shape (symbols, subcarriers,
+    antennas, users); estimates come from `add_estimation_error`."""
 
     true_channel: np.ndarray
-    est_channel: np.ndarray | None = None
-    est_error_var: float = 0.0
 
     @property
     def shape(self):
@@ -234,7 +232,8 @@ def write_channel_file(path, batch: np.ndarray, seed: int) -> None:
 
 
 def read_channel_file(path):
-    """Inverse of `write_channel_file`; returns (batch, header dict)."""
+    """Inverse of `write_channel_file`; returns (batch, header dict).
+    The payload must be exactly the size the header declares."""
     with open(path, "rb") as fh:
         raw = fh.read(64)
         if len(raw) != 64:
@@ -245,9 +244,11 @@ def read_channel_file(path):
         if version != CHANNEL_FILE_VERSION:
             raise ValueError(f"unsupported channel file version {version}")
         count = r * sym * sub * m * n
-        data = np.frombuffer(fh.read(), dtype="<c16", count=count)
-        if data.size != count:
-            raise ValueError("truncated channel file payload")
+        payload = fh.read()
+    expected = 16 * count
+    if len(payload) != expected:
+        raise ValueError(f"channel file payload is {len(payload)} bytes; the header declares {expected}")
+    data = np.frombuffer(payload, dtype="<c16")
     batch = data.reshape(r, sym, sub, m, n).astype(np.complex128)
     meta = {
         "symbols": sym,

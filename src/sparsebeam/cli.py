@@ -3,7 +3,8 @@
 Subcommands: masks, graph, attn-check, histogram, channel, beamform,
 sweep.  Exit codes: 0 success, 1 validation failure, 2 usage error,
 3 io or resource-limit error.  A flat key=value config file can seed
-any flag's default; explicit flags win.
+any flag's default; explicit flags win.  A config key that names no
+flag of any subcommand, or a malformed config line, is a usage error.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ import numpy as np
 
 from . import _buildinfo
 from .attention import EmbeddingBlock, attended_keys_histogram, dense_masked_oracle, gradient_check, sparse_attention_forward
-from .beamforming import (
-    mmse_combiner,
-    optimize_sum_rate,
-    power_project,
-    sinr,
-    sum_rate,
-    sweep_optimizer_config,
-    zf_combiner,
-)
-from .bench import SweepConfig, export_report, run_sweep
+from .beamforming import sinr, sum_rate, sweep_optimizer_config
+from .bench import KNOWN_METHODS, SweepConfig, combiner, export_report, run_sweep
 from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, write_channel_file
 from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
@@ -62,8 +55,6 @@ def load_config_file(path) -> dict:
             key, raw = body.split("=", 1)
             key = key.strip().replace("-", "_")
             key = _CONFIG_KEY_ALIASES.get(key, key)
-            if key == "handler":
-                continue
             values[key] = _coerce(raw)
     return values
 
@@ -199,12 +190,7 @@ def _cmd_beamform(args) -> int:
         h = (rng.standard_normal((args.m, args.n)) + 1j * rng.standard_normal((args.m, args.n))) / np.sqrt(2.0)
         estimate = add_estimation_error(h, args.est_snr_db, (args.seed, r))
         for method in args.method:
-            if method == "zf":
-                w = power_project(zf_combiner(estimate))
-            elif method == "mmse":
-                w = power_project(mmse_combiner(estimate, sigma2))
-            else:
-                w = optimize_sum_rate(estimate, h, sigma2, opt_cfg).combiner
+            w = combiner(method, estimate, h, sigma2, opt_cfg)
             rate = sum_rate(w, h, sigma2)
             gammas = sinr(w, h, sigma2)
             sinr_db = ",".join(format(10.0 * np.log10(g), ".12g") for g in gammas)
@@ -320,7 +306,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("beamform", help="per-realization beamformer rates on Rayleigh draws")
     _add_common(p)
-    p.add_argument("--method", action="append", choices=("zf", "mmse", "opt"), required=True)
+    p.add_argument("--method", action="append", choices=KNOWN_METHODS, required=True)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--est-snr-db", type=float, default=float("inf"))
     p.add_argument("--m", type=int, default=8)
@@ -346,6 +332,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_dests(parser) -> set:
+    """Destinations of every flag of every subcommand.  One config file
+    may serve several subcommands, so any of them is a valid key."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+
+
 def cli_dispatch(argv) -> int:
     """Parse and run; returns the process exit code instead of exiting."""
     pre = argparse.ArgumentParser(add_help=False)
@@ -353,12 +346,20 @@ def cli_dispatch(argv) -> int:
     try:
         known, _ = pre.parse_known_args(argv)
         config = load_config_file(known.config) if known.config else None
-        args = build_parser(config).parse_args(argv)
+        parser = build_parser(config)
+        unknown = sorted(set(config or ()) - _flag_dests(parser))
+        if unknown:
+            print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors (2) and on --help/--version (0)
         return int(exc.code or 0)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a malformed config line
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return int(args.handler(args) or 0)
     except (ResourceLimitError, OSError) as exc:

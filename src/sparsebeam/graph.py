@@ -286,12 +286,7 @@ class ConnectivityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "grid": {
-                "L": self.grid.symbols,
-                "K": self.grid.subcarriers,
-                "p": self.grid.heads,
-                "lambda": self.grid.time_bias,
-            },
+            "grid": self.grid.to_json_dict(),
             "global_stride": self.global_stride,
             "class_sizes": list(self.class_sizes),
             "heads": [h.to_json_dict() for h in self.heads],

@@ -71,6 +71,19 @@ class GridSpec:
             raise ValueError("token index out of range")
         return divmod(token, self.subcarriers)
 
+    def to_json_dict(self) -> dict:
+        """The grid as JSON: keys L, K, p and lambda, in that order."""
+        return {"L": self.symbols, "K": self.subcarriers, "p": self.heads, "lambda": self.time_bias}
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "GridSpec":
+        return cls(
+            symbols=int(payload["L"]),
+            subcarriers=int(payload["K"]),
+            heads=int(payload["p"]),
+            time_bias=float(payload["lambda"]),
+        )
+
 
 @dataclass(frozen=True)
 class HeadGeometry:
@@ -92,6 +105,15 @@ class HeadGeometry:
             raise ValueError("head 0 and only head 0 is global")
         if self.stride_time < 1 or self.stride_freq < 1 or self.global_stride < 1:
             raise ValueError("strides must be >= 1")
+
+
+def _rows_to_csr(rows):
+    """CSR (indptr, indices) of per-query key rows, packed in row order."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
+    # Empty rows are skipped: an empty list would promote the keys to float.
+    indices = np.concatenate([r for r in rows if len(r)]) if indptr[-1] else np.empty(0, dtype=np.int64)
+    return indptr, indices
 
 
 def _pairs_to_csr(rows, keys, tokens):
@@ -174,8 +196,9 @@ class SparseMaskSet:
 
     Rows are held in compressed form (one index pointer array plus one
     flat index array per head) so row access is O(1) and the whole
-    structure is immutable after construction.  Keys outside
-    [0, tokens) or not strictly ascending within a row raise ValueError.
+    structure is immutable after construction.  Non-integer keys, keys
+    outside [0, tokens) and keys not strictly ascending within a row
+    raise ValueError.
     """
 
     def __init__(self, grid, pattern_kind, head_rows, geometries=None, causal=False):
@@ -187,6 +210,8 @@ class SparseMaskSet:
         self.geometries = tuple(geometries) if geometries is not None else None
         self._heads = []
         for indptr, indices in head_rows:
+            if np.asarray(indptr).dtype.kind not in "iu" or np.asarray(indices).dtype.kind not in "iu":
+                raise ValueError("row pointers and key indices must be integers")
             indptr = np.ascontiguousarray(indptr, dtype=np.int64)
             indices = np.ascontiguousarray(indices, dtype=np.int64)
             if (
@@ -213,18 +238,9 @@ class SparseMaskSet:
     @classmethod
     def from_rows(cls, grid, pattern_kind, rows_per_head, geometries=None, causal=False):
         """Build from plain per-query index lists (used by tests and JSON)."""
-        head_rows = []
-        for rows in rows_per_head:
-            if len(rows) != grid.tokens:
-                raise ValueError("need one row per query")
-            lengths = np.array([len(r) for r in rows], dtype=np.int64)
-            indptr = np.zeros(grid.tokens + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            if indptr[-1]:
-                indices = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows if len(r)])
-            else:
-                indices = np.empty(0, dtype=np.int64)
-            head_rows.append((indptr, indices))
+        if any(len(rows) != grid.tokens for rows in rows_per_head):
+            raise ValueError("need one row per query")
+        head_rows = [_rows_to_csr(rows) for rows in rows_per_head]
         return cls(grid, pattern_kind, head_rows, geometries=geometries, causal=causal)
 
     @property
@@ -283,13 +299,7 @@ class SparseMaskSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "grid": {
-                "L": self.grid.symbols,
-                "K": self.grid.subcarriers,
-                "p": self.grid.heads,
-                "lambda": self.grid.time_bias,
-                "pattern": self.pattern_kind,
-            },
+            "grid": {**self.grid.to_json_dict(), "pattern": self.pattern_kind},
             "causal": self.causal,
             "heads": [
                 {"head": h, "rows": [self.row(h, i).tolist() for i in range(self.tokens)]}
@@ -299,15 +309,12 @@ class SparseMaskSet:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SparseMaskSet":
-        g = payload["grid"]
-        grid = GridSpec(
-            symbols=int(g["L"]),
-            subcarriers=int(g["K"]),
-            heads=int(g["p"]),
-            time_bias=float(g["lambda"]),
-        )
-        rows_per_head = [entry["rows"] for entry in sorted(payload["heads"], key=lambda e: e["head"])]
-        kind = g["pattern"]
+        grid = GridSpec.from_json_dict(payload["grid"])
+        entries = sorted(payload["heads"], key=lambda e: e["head"])
+        if [e["head"] for e in entries] != list(range(grid.heads)):
+            raise ValueError(f"head indices must be exactly 0..{grid.heads - 1}")
+        rows_per_head = [e["rows"] for e in entries]
+        kind = payload["grid"]["pattern"]
         geoms = None
         if kind == DOPPLER_AWARE:
             geoms = [head_geometry(grid, h) for h in range(grid.heads)]
@@ -338,17 +345,10 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
     sym, sub = grid.symbols, grid.subcarriers
     s = global_stride(tokens, grid.heads)
     geometries = [head_geometry(grid, h) for h in range(grid.heads)]
-    head_rows = []
 
     # Global head: rows for queries in the same residue class are identical.
     members = [np.arange(r, tokens, s, dtype=np.int64) for r in range(s)]
-    class_size = np.array([m.size for m in members], dtype=np.int64)
-    residues = np.arange(tokens, dtype=np.int64) % s
-    lengths = class_size[residues]
-    indptr = np.zeros(tokens + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.concatenate([members[r] for r in residues]) if tokens else np.empty(0, np.int64)
-    head_rows.append((indptr, indices))
+    head_rows = [_rows_to_csr([members[i % s] for i in range(tokens)])]
 
     for h in range(1, grid.heads):
         st, sf = geometries[h].stride_time, geometries[h].stride_freq
@@ -361,15 +361,7 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
             for df in np.unique(off_f):
                 f_vals = np.arange(df, sub, sf, dtype=np.int64)
                 lattice[(int(dt), int(df))] = (t_vals[:, None] + f_vals[None, :]).ravel()
-        rows = [lattice[(int(a), int(b))] for a, b in zip(off_t, off_f)]
-        lengths = np.array([r.size for r in rows], dtype=np.int64)
-        indptr = np.zeros(tokens + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        if indptr[-1]:
-            indices = np.concatenate([r for r in rows if r.size])
-        else:
-            indices = np.empty(0, dtype=np.int64)
-        head_rows.append((indptr, indices))
+        head_rows.append(_rows_to_csr([lattice[(int(a), int(b))] for a, b in zip(off_t, off_f)]))
 
     return SparseMaskSet(grid, DOPPLER_AWARE, head_rows, geometries=geometries)
 
@@ -400,13 +392,7 @@ def build_fixed_strided_masks(
             strided = np.arange(i % s, tokens, s, dtype=np.int64)
         local_rows.append(local)
         strided_rows.append(strided)
-
-    head_rows = []
-    for rows in (local_rows, strided_rows):
-        lengths = np.array([r.size for r in rows], dtype=np.int64)
-        indptr = np.zeros(tokens + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        head_rows.append((indptr, np.concatenate(rows) if indptr[-1] else np.empty(0, np.int64)))
+    head_rows = [_rows_to_csr(local_rows), _rows_to_csr(strided_rows)]
     return SparseMaskSet(grid, FIXED_STRIDED, head_rows, causal=causal)
 
 

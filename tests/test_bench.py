@@ -55,11 +55,6 @@ class TestRunSweep:
         by_method = {p.method: p.mean_sum_rate for p in result.points}
         assert by_method["opt"] >= by_method["zf"] - 1e-3
 
-    def test_thread_pool_matches_sequential(self, small_result, monkeypatch):
-        monkeypatch.setenv("SPARSEBEAM_THREADS", "4")
-        threaded = run_sweep(SMALL, timestamp="1970-01-01T00:00:00+00:00")
-        assert threaded == small_result
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(methods=("zf", "dirty"))

@@ -241,3 +241,11 @@ class TestChannelFile:
         path.write_bytes(b"\x00" * 80)
         with pytest.raises(ValueError):
             read_channel_file(path)
+
+    @pytest.mark.parametrize("size", [31, 33])  # the header declares 2 x 16 bytes
+    def test_payload_size_must_match_header(self, tmp_path, size):
+        path = tmp_path / "c.bin"
+        write_channel_file(path, np.zeros((1, 1, 1, 1, 2), dtype=complex), seed=0)
+        path.write_bytes(path.read_bytes()[:64] + b"\x00" * size)
+        with pytest.raises(ValueError, match=f"payload is {size} bytes"):
+            read_channel_file(path)

@@ -156,3 +156,18 @@ class TestConfigFile:
         conf.write_text("just words\n")
         with pytest.raises(ValueError):
             load_config_file(conf)
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [("sampels = 4\n", "sampels"), ("just words\n", "key = value"), ("handler = x\n", "handler")],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, body, named):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(body)
+        assert cli_dispatch(["histogram", "--config", str(conf), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_accepted(self, tmp_path, capsys):
+        conf = tmp_path / "shared.conf"
+        conf.write_text("L = 2\nK = 3\nsamples = 1\nv_min = 1.0\nopt_iterations = 5\n")
+        assert cli_dispatch(["histogram", "--config", str(conf), "--quiet"]) == 0

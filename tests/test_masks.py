@@ -205,12 +205,13 @@ class TestFixedStridedMasks:
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_matches_dense_reference(self, causal):
-        grid = GridSpec(4, 5, 2, 2.0)
-        masks = build_fixed_strided_masks(grid, causal=causal)
-        local, strided = fixed_masks_reference(grid.tokens, global_stride(grid.tokens, 2), causal)
-        for i in range(grid.tokens):
-            assert np.array_equal(masks.row(0, i), np.flatnonzero(local[i]))
-            assert np.array_equal(masks.row(1, i), np.flatnonzero(strided[i]))
+        for shape in [(1, 1), (1, 9), (9, 1), (4, 5), (7, 11), (14, 48)]:
+            grid = GridSpec(*shape, 2, 2.0)
+            masks = build_fixed_strided_masks(grid, causal=causal)
+            local, strided = fixed_masks_reference(grid.tokens, global_stride(grid.tokens, 2), causal)
+            for i in range(grid.tokens):
+                assert np.array_equal(masks.row(0, i), np.flatnonzero(local[i])), (shape, i)
+                assert np.array_equal(masks.row(1, i), np.flatnonzero(strided[i])), (shape, i)
 
     def test_requires_two_heads(self):
         with pytest.raises(ValueError):
@@ -251,13 +252,22 @@ class TestMaskJson:
         restored = SparseMaskSet.from_json_dict(masks.to_json_dict())
         assert restored.equals(masks)
 
+    @pytest.mark.parametrize("heads", [[0, 0], [0, 7], [1]])
+    def test_head_indices_must_be_exactly_0_to_p_minus_1(self, heads):
+        payload = build_doppler_masks(GridSpec(3, 4, 2, 2.0)).to_json_dict()
+        rows = payload["heads"][0]["rows"]
+        payload["heads"] = [{"head": h, "rows": rows} for h in heads]
+        with pytest.raises(ValueError, match="head indices"):
+            SparseMaskSet.from_json_dict(payload)
+
 
 class TestRowValidation:
     GRID = GridSpec(2, 2, 1, 1.0)
 
     @pytest.mark.parametrize(
         "row, message",
-        [([-1, 2], "out of range"), ([0, 4], "out of range"), ([2, 1], "ascending"), ([1, 1], "ascending")],
+        [([-1, 2], "out of range"), ([0, 4], "out of range"), ([2, 1], "ascending"), ([1, 1], "ascending"),
+         ([0.0, 1.7], "integer")],
     )
     def test_malformed_row_rejected(self, row, message):
         rows = [[0], row, [], [0, 1, 2, 3]]
