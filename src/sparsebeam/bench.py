@@ -8,6 +8,10 @@ the true channel at the last symbol of the slot.  The slot-length lag
 is what makes the velocity axis matter: at high Doppler the estimate
 decorrelates from the channel it is used on, which is exactly the
 regime the sweep is probing.  Everything is seeded and byte-stable.
+
+Each (velocity, SNR) cell is evaluated as one stack: the fading of
+every realization is computed only at those two points, and each
+method builds and scores all of the cell's combiners in one call.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from . import _buildinfo
 from .beamforming import (
     OptimizerConfig,
     mmse_combiner,
-    optimize_sum_rate,
+    optimize_sum_rate,  # unused here; perfbench's span tracer wraps bench.optimize_sum_rate
+    optimize_sum_rate_batch,
     power_project,
     sinr,
     sum_rate,
@@ -129,48 +134,66 @@ class SweepResult:
 
 
 def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> np.ndarray:
-    """Combiner of `method` built from the channel `estimate`; `opt`
-    also climbs the sum rate against `target`.  The callees resolve
-    through this module's globals, so wrapping them here (perfbench's
-    tracer does) covers both the sweep and the CLI."""
+    """Combiner of `method` built from the channel `estimate`, one matrix
+    or a stack (..., antennas, users); `opt` also climbs the sum rate
+    against `target`.  The callees resolve through this module's
+    globals, so wrapping them here (perfbench's tracer does) covers both
+    the sweep and the CLI."""
     if method == "zf":
         return power_project(zf_combiner(estimate))
     if method == "mmse":
         return power_project(mmse_combiner(estimate, sigma2))
     if method == "opt":
-        return optimize_sum_rate(estimate, target, sigma2, optimizer).combiner
+        return optimize_sum_rate_batch(estimate, target, sigma2, optimizer).combiner
     raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
 
 
-def _one_realization(config: SweepConfig, point_key, sigma2, velocity_range, realization):
-    """Per-realization rates and SINRs for every configured method.
+def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
+    """Rates (R,) and SINRs (R, users) per method for one (velocity,
+    SNR) cell, plus the number of resampled draws.
 
-    Resamples singular draws with a derived seed; the resample count is
-    returned so the caller can enforce the <0.1% budget.
+    Realization r at attempt a draws from the derived seed (seed, cell,
+    r, a).  Every method runs once on the stack of the cell's draws; an
+    entry that is singular for any method is redrawn at the next
+    attempt, the others keep their results.
     """
-    sub_mid = config.ofdm.subcarriers // 2
+    ofdm = config.ofdm
     doppler = DopplerConfig(
         carrier_hz=config.carrier_hz,
         velocity_mps=velocity_range,
         num_sinusoids=config.num_sinusoids,
     )
+    # the pilot (first symbol) and the target (last symbol), centre subcarrier
+    points = ((0, ofdm.symbols - 1), (ofdm.subcarriers // 2,))
+    shape = (config.realizations, config.rx_antennas, config.users)
+    estimate = np.empty(shape, dtype=np.complex128)
+    target = np.empty(shape, dtype=np.complex128)
+    rates = {m: np.empty(config.realizations) for m in config.methods}
+    sinrs = {m: np.empty((config.realizations, config.users)) for m in config.methods}
+    todo = np.arange(config.realizations)
     resampled = 0
     for attempt in range(64):
-        draw_seed = (config.seed, *point_key, realization, attempt)
-        rng = np.random.default_rng(draw_seed)
-        grid = _generate_true(config.ofdm, doppler, config.rx_antennas, config.users, rng)
-        pilot = grid[0, sub_mid]
-        target = grid[-1, sub_mid]
-        estimate = add_estimation_error(pilot, config.est_snr_db, (config.seed, *point_key, realization, attempt, 1))
-        try:
-            rates, sinrs = {}, {}
-            for method in config.methods:
-                w = combiner(method, estimate, target, sigma2, config.optimizer)
-                rates[method] = sum_rate(w, target, sigma2)
-                sinrs[method] = sinr(w, target, sigma2)
+        for r in todo:
+            draw_seed = (config.seed, *point_key, int(r), attempt)
+            rng = np.random.default_rng(draw_seed)
+            pilot, target[r] = _generate_true(ofdm, doppler, config.rx_antennas, config.users, rng, *points)[:, 0]
+            estimate[r] = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
+        ok = np.ones(todo.size, dtype=bool)
+        while ok.any():
+            live = todo[ok]
+            est, tgt = estimate[live], target[live]
+            try:
+                for method in config.methods:
+                    w = combiner(method, est, tgt, sigma2, config.optimizer)
+                    rates[method][live] = sum_rate(w, tgt, sigma2)
+                    sinrs[method][live] = sinr(w, tgt, sigma2)
+                break
+            except SingularChannelError as exc:
+                ok[ok] = ~exc.singular
+        todo = todo[~ok]
+        if not todo.size:
             return rates, sinrs, resampled
-        except SingularChannelError:
-            resampled += 1
+        resampled += todo.size
     raise RuntimeError("could not draw a non-singular channel in 64 attempts")
 
 
@@ -178,26 +201,22 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
     """Evaluate every (method, SNR, velocity range) cell of the sweep.
 
     Deterministic for a fixed config: realization r of cell c always
-    uses the derived seed (seed, cell indices, r), so results do not
-    depend on execution order.
+    uses the derived seed (seed, cell indices, r, attempt), so results
+    do not depend on execution order.  `progress(velocity_range,
+    snr_db)` is called once per finished cell.
     """
     points: list[SweepPoint] = []
     for v_idx, velocity_range in enumerate(config.velocity_ranges):
         for s_idx, snr_db in enumerate(config.snr_db_list):
             sigma2 = 10.0 ** (-snr_db / 10.0)
             point_key = (v_idx, s_idx)
-            outcomes = [
-                _one_realization(config, point_key, sigma2, velocity_range, r)
-                for r in range(config.realizations)
-            ]
-            resampled = sum(out[2] for out in outcomes)
+            cell_rates, cell_sinrs, resampled = _cell(config, point_key, sigma2, velocity_range)
             if resampled > _RESAMPLE_BUDGET * max(1, config.realizations + resampled):
                 raise RuntimeError(
                     f"singular-channel resample rate above 0.1%: {resampled} resamples"
                 )
             for method in config.methods:
-                rates = np.array([out[0][method] for out in outcomes])
-                sinrs = np.vstack([out[1][method] for out in outcomes])
+                rates, sinrs = cell_rates[method], cell_sinrs[method]
                 stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
                 points.append(
                     SweepPoint(

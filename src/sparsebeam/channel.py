@@ -133,25 +133,54 @@ def jakes_fading(doppler_hz: float, time_grid, seed, num_sinusoids: int = 32) ->
     return np.exp(1j * phase).sum(axis=0) / np.sqrt(num_sinusoids)
 
 
-def _fading_block(rng, doppler_hz, t, users, antennas, taps, num_sinusoids):
-    """Fading for every (user, antenna, tap) path at times `t`;
-    returns (users, antennas, taps, len(t)).  Draw order is fixed so a
-    given seed always produces the same block."""
-    shape = (users, antennas, taps, num_sinusoids)
-    theta = rng.uniform(0.0, 2.0 * np.pi, shape)
-    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    rate = 2.0 * np.pi * doppler_hz[:, None, None, None] * np.cos(theta)
-    phase = rate[..., None] * t[None, None, None, None, :] + phi[..., None]
-    return np.exp(1j * phase).sum(axis=3) / np.sqrt(num_sinusoids)
-
-
-def _generate_true(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, rng) -> np.ndarray:
+def _draw_paths(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, rng):
+    """The random part of one realization, in a fixed draw order: per-user
+    Doppler shifts, then arrival angles and phases of every
+    (user, antenna, tap, sinusoid) component."""
     lo, hi = doppler.velocity_bounds
     velocities = rng.uniform(lo, hi, users) if hi > lo else np.full(users, lo)
     doppler_hz = velocities * doppler.carrier_hz / SPEED_OF_LIGHT
+    shape = (users, antennas, ofdm.num_taps, doppler.num_sinusoids)
+    theta = rng.uniform(0.0, 2.0 * np.pi, shape)
+    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    return doppler_hz, theta, phi
+
+
+def _fading_block(doppler_hz, theta, phi, t):
+    """Fading for every (user, antenna, tap) path at times `t`;
+    returns (users, antennas, taps, len(t))."""
+    rate = 2.0 * np.pi * doppler_hz[:, None, None, None] * np.cos(theta)
+    phase = rate[..., None] * t[None, None, None, None, :] + phi[..., None]
+    return np.exp(1j * phase).sum(axis=3) / np.sqrt(theta.shape[-1])
+
+
+def _generate_true(
+    ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, rng, symbols=None, subcarriers=None
+) -> np.ndarray:
+    """True channel of one realization at the chosen symbol and
+    subcarrier indices (all of them when None), shape
+    (len(symbols), len(subcarriers), antennas, users).  Each entry equals
+    the full slot grid's entry at that index, bit for bit."""
+    doppler_hz, theta, phi = _draw_paths(ofdm, doppler, antennas, users, rng)
     t = np.arange(ofdm.symbols) * ofdm.symbol_duration_s
-    gains = _fading_block(rng, doppler_hz, t, users, antennas, ofdm.num_taps, doppler.num_sinusoids)
     freqs = np.arange(ofdm.subcarriers) * ofdm.subcarrier_spacing_hz
+    pick = None
+    if symbols is not None:
+        chosen = np.arange(ofdm.symbols)[np.asarray(symbols, dtype=np.intp)]
+        # numpy adds the sinusoids in sequence along a time axis longer
+        # than 1 but pairwise along a length-1 one, so the evaluated axis
+        # has length 1 exactly when the slot's does
+        if ofdm.symbols == 1:
+            pick = chosen
+        elif chosen.size == 1:
+            t, pick = t[np.repeat(chosen, 2)], [0]
+        else:
+            t = t[chosen]
+    if subcarriers is not None:
+        freqs = freqs[np.asarray(subcarriers, dtype=np.intp)]
+    gains = _fading_block(doppler_hz, theta, phi, t)
+    if pick is not None:
+        gains = gains[..., pick]
     steering = np.exp(-2j * np.pi * freqs[None, :] * ofdm.tap_delays_s[:, None])  # (taps, K)
     weighted = np.sqrt(ofdm.tap_powers)[:, None] * steering
     # (users, antennas, taps, symbols) x (taps, subcarriers) -> (L, K, M, N)

@@ -332,11 +332,28 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _flag_dests(parser) -> set:
     """Destinations of every flag of every subcommand.  One config file
     may serve several subcommands, so any of them is a valid key."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+    return {a.dest for p in _subcommands(parser).values() for a in p._actions if a.option_strings}
+
+
+def _config_choice_errors(parser, args, config: dict) -> list[str]:
+    """`key = value` for each config value the running subcommand holds
+    outside its flag's `choices`; `set_defaults` skips that check."""
+    errors = []
+    for action in _subcommands(parser)[args.command]._actions:
+        if action.choices is None or action.dest not in config:
+            continue
+        value = getattr(args, action.dest)
+        for item in value if isinstance(value, list) else [value]:
+            if item not in action.choices:
+                errors.append(f"{action.dest} = {item!r} (choose from {', '.join(map(str, action.choices))})")
+    return errors
 
 
 def cli_dispatch(argv) -> int:
@@ -352,6 +369,10 @@ def cli_dispatch(argv) -> int:
             print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
         args = parser.parse_args(argv)
+        bad = _config_choice_errors(parser, args, config or {})
+        if bad:
+            print(f"error: invalid config value(s): {'; '.join(bad)}", file=sys.stderr)
+            return 2
     except SystemExit as exc:  # argparse exits on usage errors (2) and on --help/--version (0)
         return int(exc.code or 0)
     except OSError as exc:

@@ -77,12 +77,16 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GridSpec":
-        return cls(
-            symbols=int(payload["L"]),
-            subcarriers=int(payload["K"]),
-            heads=int(payload["p"]),
-            time_bias=float(payload["lambda"]),
-        )
+        """Inverse of `to_json_dict`.  L, K and p must be JSON integers and
+        lambda a finite JSON number; nothing is coerced (`2.9` or `"2"` for
+        L is a ValueError, not a 2-symbol grid)."""
+        for key in ("L", "K", "p"):
+            if isinstance(payload[key], bool) or not isinstance(payload[key], int):
+                raise ValueError(f"grid {key} must be an integer, got {payload[key]!r}")
+        lam = payload["lambda"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not math.isfinite(lam):
+            raise ValueError(f"grid lambda must be a finite number, got {lam!r}")
+        return cls(symbols=payload["L"], subcarriers=payload["K"], heads=payload["p"], time_bias=float(lam))
 
 
 @dataclass(frozen=True)

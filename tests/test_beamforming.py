@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebeam import (
     OptimizerConfig,
@@ -10,10 +12,12 @@ from sparsebeam import (
     lookahead_update,
     mmse_combiner,
     optimize_sum_rate,
+    optimize_sum_rate_batch,
     power_project,
     sinr,
     sum_rate,
     sum_rate_gradient,
+    sweep_optimizer_config,
     zf_combiner,
 )
 
@@ -289,3 +293,84 @@ class TestOptimizer:
         result = optimize_sum_rate(h, h, 0.2, OptimizerConfig(iterations=40, gradient="analytic"))
         norms = np.sqrt((np.abs(result.combiner) ** 2).sum(axis=1))
         assert (norms <= 1.0 + 1e-9).all()
+
+
+def rayleigh_stack(count, m, n, seed):
+    return np.stack([rayleigh(m, n, (seed, r)) for r in range(count)])
+
+
+class TestStacks:
+    def test_entries_equal_their_slices(self):
+        h = rayleigh_stack(5, 6, 3, 0)
+        est = h + 0.2 * rayleigh_stack(5, 6, 3, 1)
+        w = power_project(mmse_combiner(est, 0.3))
+        rates, gammas = sum_rate(w, h, 0.3), sinr(w, h, 0.3)
+        assert rates.shape == (5,) and gammas.shape == (5, 3)
+        for r in range(5):
+            assert np.array_equal(w[r], power_project(mmse_combiner(est[r], 0.3)))
+            assert np.array_equal(power_project(zf_combiner(est))[r], power_project(zf_combiner(est[r])))
+            assert rates[r] == sum_rate(w[r], h[r], 0.3)
+            assert np.array_equal(gammas[r], sinr(w[r], h[r], 0.3))
+        assert isinstance(sum_rate(w[0], h[0], 0.3), float)
+
+    def test_singular_entries_are_named(self):
+        h = rayleigh_stack(4, 4, 2, 2)
+        h[1, :, 0] = 0.0  # ill-conditioned Gram
+        h[3] = np.ones((4, 2))  # rank one
+        with pytest.raises(SingularChannelError) as info:
+            zf_combiner(h)
+        assert info.value.singular.tolist() == [False, True, False, True]
+
+    def test_fat_stack_all_singular(self):
+        with pytest.raises(SingularChannelError) as info:
+            zf_combiner(rayleigh_stack(3, 2, 4, 0))
+        assert info.value.singular.tolist() == [True, True, True]
+
+    def test_batch_optimizer_equals_scalar(self):
+        h = rayleigh_stack(4, 8, 2, 3)
+        est = h + 0.3 * rayleigh_stack(4, 8, 2, 4)
+        for cfg in (
+            OptimizerConfig(iterations=4),
+            OptimizerConfig(iterations=30, gradient="analytic", lookahead_every=7, lookahead_coeff=0.3),
+            OptimizerConfig(iterations=30, gradient="analytic", optimize_weights=True, init="random", seed=1),
+        ):
+            batch = optimize_sum_rate_batch(est, h, 0.2, cfg)
+            for r in range(4):
+                one = optimize_sum_rate(est[r], h[r], 0.2, cfg)
+                assert np.array_equal(batch.combiner[r], one.combiner)
+                assert np.array_equal(batch.trace[r], one.trace)
+                assert np.array_equal(batch.weights[r], one.weights)
+
+    def test_batch_optimizer_on_one_matrix(self):
+        h = rayleigh(8, 2, 5)
+        one = optimize_sum_rate(h, h, 0.2, sweep_optimizer_config(10))
+        batch = optimize_sum_rate_batch(h, h, 0.2, sweep_optimizer_config(10))
+        assert isinstance(batch.rate, float) and batch.rate == one.rate
+        assert np.array_equal(batch.combiner, one.combiner)
+
+
+class TestOptimizerCeiling:
+    """The MMSE combiner of the true channel maximizes every user's SINR,
+    so no combiner the optimizer finds can beat its sum rate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        users=st.integers(1, 4),
+        snr_db=st.floats(-10.0, 20.0),
+        est_error=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_opt_never_beats_genie(self, data, users, snr_db, est_error, seed):
+        antennas = data.draw(st.integers(users, 16))
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        h = rayleigh_stack(3, antennas, users, seed)
+        est = h + est_error * rayleigh_stack(3, antennas, users, seed + 1)
+        cfg = sweep_optimizer_config()
+        batch = optimize_sum_rate_batch(est, h, sigma2, cfg)
+        for r in range(3):
+            genie = sum_rate(mmse_combiner(h[r], sigma2), h[r], sigma2)
+            scalar = optimize_sum_rate(est[r], h[r], sigma2, cfg).rate
+            assert scalar <= genie + 1e-12
+            assert batch.rate[r] <= genie + 1e-12
+            assert abs(batch.rate[r] - scalar) <= 1e-12

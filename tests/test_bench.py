@@ -1,10 +1,12 @@
-"""Sweep harness: determinism, aggregation arithmetic, export formats."""
+"""Sweep harness: determinism, aggregation arithmetic, export formats,
+and the batched cell engine against the scalar per-realization protocol."""
 
 import math
 
 import pytest
+from reference import sweep_points_reference
 
-from sparsebeam import SweepConfig, export_report, load_report_json, run_sweep
+from sparsebeam import OptimizerConfig, SweepConfig, bench, export_report, load_report_json, run_sweep, sweep_optimizer_config
 from sparsebeam.bench import CSV_HEADER, SweepResult
 
 
@@ -62,6 +64,68 @@ class TestRunSweep:
             SweepConfig(realizations=0)
         with pytest.raises(ValueError):
             SweepConfig(snr_db_list=())
+
+
+def _as_dicts(points):
+    return [p.to_json_dict() for p in points]
+
+
+# Each config stresses one axis of the engine; all use both velocity ranges.
+ORACLE_CONFIGS = {
+    "est_snr_10db": dict(est_snr_db=10.0),
+    "one_user_four_antennas": dict(users=1, rx_antennas=4),
+    "four_users_sixteen_antennas": dict(users=4, rx_antennas=16),
+    "fd_gradient": dict(optimizer=OptimizerConfig(gradient="fd", iterations=3)),
+    "weights_random_init_no_lookahead": dict(
+        optimizer=OptimizerConfig(
+            gradient="analytic", iterations=20, optimize_weights=True, init="random", seed=5, lookahead_every=0
+        )
+    ),
+}
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_points_equal_scalar_reference(self, name):
+        fields = dict(snr_db_list=(-5.0, 20.0), realizations=12, seed=17, optimizer=sweep_optimizer_config(20))
+        fields.update(ORACLE_CONFIGS[name])
+        config = SweepConfig(**fields)
+        assert _as_dicts(run_sweep(config, timestamp="t").points) == _as_dicts(sweep_points_reference(config))
+
+    def test_forced_resample_matches_reference(self, monkeypatch):
+        # realization 3's first draw loses user 0, so ZF is singular there;
+        # 1000 realizations keep one resample inside the 0.1% budget
+        original = bench._generate_true
+
+        def lose_user_zero(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if tuple(args[4].bit_generator.seed_seq.entropy[-2:]) == (3, 0):
+                out[..., 0] = 0.0
+            return out
+
+        monkeypatch.setattr(bench, "_generate_true", lose_user_zero)
+        config = SweepConfig(
+            snr_db_list=(10.0,),
+            velocity_ranges=((30.0, 40.0),),
+            realizations=1000,
+            seed=2,
+            optimizer=sweep_optimizer_config(2),
+        )
+        batched = run_sweep(config, timestamp="t").points
+        assert [p.resampled for p in batched] == [1, 1, 1]
+        assert _as_dicts(batched) == _as_dicts(sweep_points_reference(config))
+
+    def test_more_users_than_antennas_exhausts_attempts(self):
+        config = SweepConfig(
+            snr_db_list=(10.0,), velocity_ranges=((0.0, 10.0),), rx_antennas=2, users=4, realizations=2, methods=("zf",)
+        )
+        with pytest.raises(RuntimeError, match="64 attempts"):
+            run_sweep(config, timestamp="t")
+
+    def test_progress_once_per_cell(self):
+        calls = []
+        run_sweep(SMALL, timestamp="t", progress=lambda vr, snr: calls.append((vr, snr)))
+        assert calls == [((0.0, 10.0), 0.0), ((0.0, 10.0), 20.0)]
 
 
 class TestExportReport:

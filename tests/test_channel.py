@@ -152,6 +152,47 @@ class TestGenerateChannel:
             assert np.array_equal(batch[r], _generate_true(ofdm, dop, 1, 1, rng))
 
 
+class TestChannelPoints:
+    """The channel at chosen (symbol, subcarrier) indices is the full slot
+    grid at those indices, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ofdm, velocity",
+        [
+            (OfdmConfig(), (30.0, 40.0)),
+            (OfdmConfig(num_taps=1), (0.0, 10.0)),
+            (OfdmConfig(subcarriers=1), (0.0, 10.0)),
+            (OfdmConfig(), 0.0),
+        ],
+        ids=["default", "one_tap", "one_subcarrier", "zero_velocity"],
+    )
+    def test_points_equal_full_grid(self, ofdm, velocity):
+        from sparsebeam.channel import _generate_true
+
+        dop = DopplerConfig(velocity_mps=velocity)
+        last, mid = ofdm.symbols - 1, ofdm.subcarriers // 2
+        selections = [
+            ((0, last), (mid,)),  # the sweep's pilot and target
+            ((last,), (0,)),
+            ((3, 3, 0), (ofdm.subcarriers - 1, mid)),
+            (tuple(range(ofdm.symbols)), tuple(range(ofdm.subcarriers))),
+        ]
+        for seed in range(3):
+            full = _generate_true(ofdm, dop, 4, 3, np.random.default_rng(seed))
+            for symbols, subcarriers in selections:
+                points = _generate_true(ofdm, dop, 4, 3, np.random.default_rng(seed), symbols, subcarriers)
+                assert points.shape == (len(symbols), len(subcarriers), 4, 3)
+                assert np.array_equal(points, full[np.ix_(symbols, subcarriers)])
+
+    def test_one_symbol_slot(self):
+        from sparsebeam.channel import _generate_true
+
+        ofdm, dop = OfdmConfig(symbols=1), DopplerConfig()
+        full = _generate_true(ofdm, dop, 2, 2, np.random.default_rng(0))
+        points = _generate_true(ofdm, dop, 2, 2, np.random.default_rng(0), (0, 0), (5,))
+        assert np.array_equal(points, full[np.ix_((0, 0), (5,))])
+
+
 class TestEstimationError:
     def test_perfect_estimate_bit_exact(self):
         h = np.arange(12, dtype=float).reshape(3, 4) * (1 + 1j)

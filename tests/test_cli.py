@@ -167,6 +167,24 @@ class TestConfigFile:
         assert cli_dispatch(["histogram", "--config", str(conf), "--quiet"]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, body, named",
+        [(["masks", "--L", "2", "--K", "2"], "pattern = bogus\n", "pattern = 'bogus'"),
+         (["graph", "--L", "2", "--K", "3"], "mode = sideways\n", "mode = 'sideways'")],
+    )
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys, command, body, named):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(body)
+        assert cli_dispatch([*command, "--config", str(conf), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_config_value_inside_choices_accepted(self, tmp_path, capsys):
+        conf = tmp_path / "fixed.conf"
+        conf.write_text("pattern = fixed\n")
+        out = tmp_path / "m.json"
+        assert cli_dispatch(["masks", "--config", str(conf), "--L", "2", "--K", "2", "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["grid"]["pattern"] == "fixed_strided"
+
     def test_key_of_another_subcommand_accepted(self, tmp_path, capsys):
         conf = tmp_path / "shared.conf"
         conf.write_text("L = 2\nK = 3\nsamples = 1\nv_min = 1.0\nopt_iterations = 5\n")

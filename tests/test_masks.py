@@ -261,6 +261,18 @@ class TestMaskJson:
             SparseMaskSet.from_json_dict(payload)
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("L", 2.9), ("L", "2"), ("L", True), ("K", 4.0), ("p", None), ("lambda", "2.0"), ("lambda", False),
+         ("lambda", float("inf")), ("lambda", float("nan"))],
+    )
+    def test_grid_values_not_coerced(self, key, value):
+        payload = build_doppler_masks(GridSpec(2, 4, 2, 2.0)).to_json_dict()
+        payload["grid"][key] = value
+        with pytest.raises(ValueError, match=f"grid {key}"):
+            SparseMaskSet.from_json_dict(payload)
+
+
 class TestRowValidation:
     GRID = GridSpec(2, 2, 1, 1.0)
 
