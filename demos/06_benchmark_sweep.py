@@ -36,9 +36,10 @@ for velocity_range in config.velocity_ranges:
     print()
 
 print("reading the table: at low mobility the three methods are close; at")
-print("30-40 m/s the stale ZF/MMSE combiners lose several bps/Hz at high SNR")
-print("while direct optimization against the true channel stays robust,")
-print("which is the behavior the sparse-attention beamformer is built to learn.")
+print("30-40 m/s the stale ZF/MMSE combiners lose several bps/Hz at high SNR.")
+print("opt optimizes against the true target channel: it is a genie-aided")
+print("reference, capped by MMSE on the true channel, not a stand-in for a")
+print("trained beamformer, which sees only the stale estimate.")
 
 with tempfile.TemporaryDirectory() as tmp:
     csv_path = Path(tmp) / "sweep.csv"

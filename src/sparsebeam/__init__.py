@@ -24,7 +24,6 @@ from .beamforming import (
     lookahead_update,
     mmse_combiner,
     optimize_sum_rate,
-    optimize_sum_rate_batch,
     power_project,
     sinr,
     sum_rate,

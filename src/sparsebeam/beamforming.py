@@ -15,6 +15,7 @@ the result its 2D slice would get on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,14 +113,10 @@ def sinr(combiner, channel, noise_power: float) -> np.ndarray:
     return gammas
 
 
-def _uniform_weights(users: int) -> np.ndarray:
-    return np.full(users, 1.0 / users)
-
-
 def _check_weights(weights, users: int) -> np.ndarray:
     """Validated user weights: (users,) or a stack (..., users)."""
     if weights is None:
-        return _uniform_weights(users)
+        return np.full(users, 1.0 / users)
     a = np.asarray(weights, dtype=np.float64)
     if a.ndim < 1 or a.shape[-1] != users:
         raise ValueError("one weight per user required")
@@ -240,8 +237,8 @@ class OptimizerConfig:
     gradient "fd" recomputes central differences each step (slow, exact
     contract); "analytic" uses the closed-form gradient, which the test
     suite checks against finite differences.  Every `lookahead_every`
-    steps the slow weights absorb the fast iterate with coefficient
-    `lookahead_coeff` and the fast iterate restarts there.
+    steps (0: never) the slow weights absorb the fast iterate with
+    coefficient `lookahead_coeff` and the fast iterate restarts there.
     """
 
     step_size: float = 0.05
@@ -251,18 +248,16 @@ class OptimizerConfig:
     gradient: str = "fd"
     fd_step: float = 1e-6
     optimize_weights: bool = False
-    seed: int | None = None  # reserved for the "random" initializer
-    init: str = "mmse"
 
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
             raise ValueError("gradient must be 'fd' or 'analytic'")
-        if self.init not in ("mmse", "random"):
-            raise ValueError("init must be 'mmse' or 'random'")
         if not (0.0 <= self.lookahead_coeff <= 1.0):
             raise ValueError("lookahead coefficient must be in [0, 1]")
-        if self.iterations < 0 or self.step_size <= 0:
-            raise ValueError("iterations must be >= 0 and step size > 0")
+        if self.iterations < 0 or self.lookahead_every < 0:
+            raise ValueError("iterations and lookahead_every must be >= 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.step_size, self.fd_step)):
+            raise ValueError("step size and finite-difference step must be finite and > 0")
 
 
 @dataclass
@@ -278,7 +273,31 @@ class OptimizeResult:
         return float(best) if best.ndim == 0 else best
 
 
-def _optimizer_channels(channel_est, channel_true, noise_power):
+def optimize_sum_rate(
+    channel_est,
+    channel_true,
+    noise_power: float,
+    config: OptimizerConfig | None = None,
+    initial=None,
+    weights=None,
+) -> OptimizeResult:
+    """Directly maximize the weighted sum rate over the combiner, for one
+    channel matrix or a stack (..., antennas, users) in one ascent loop.
+
+    Projected gradient ascent starting from the power-projected MMSE
+    combiner of the channel estimate; the objective is evaluated
+    against the true channel, so with an imperfect estimate this plays
+    the role the training loss plays for a learned beamformer.  The
+    returned trace is the best rate seen up to each iteration and is
+    non-decreasing by construction.  Every stack entry keeps its own
+    best iterate, weights and trace, exactly as if it ran alone.
+
+    `initial` overrides the starting combiner (a random start is
+    `power_project` of a seeded draw) and `weights` the uniform user
+    weights; both broadcast over the stack.  `config.optimize_weights`
+    co-optimizes the user weights on the probability simplex.
+    """
+    cfg = config or OptimizerConfig()
     h_est = _as_channel(channel_est)
     h_true = _as_channel(channel_true)
     if h_est.shape != h_true.shape:
@@ -288,99 +307,14 @@ def _optimizer_channels(channel_est, channel_true, noise_power):
         raise ValueError("optimizer is desk-scale: antennas <= 16, users <= 4")
     if noise_power <= 0:
         raise ValueError("optimization needs noise power > 0")
-    return h_est, h_true
-
-
-def _random_start(cfg, users, antennas):
-    rng = np.random.default_rng(cfg.seed)
-    return power_project(
-        (rng.standard_normal((users, antennas)) + 1j * rng.standard_normal((users, antennas)))
-        / np.sqrt(2 * antennas)
-    )
-
-
-def optimize_sum_rate(
-    channel_est,
-    channel_true,
-    noise_power: float,
-    config: OptimizerConfig | None = None,
-    initial=None,
-    weights=None,
-) -> OptimizeResult:
-    """Directly maximize the weighted sum rate over the combiner.
-
-    Projected gradient ascent starting from the power-projected MMSE
-    combiner of the channel estimate; the objective is evaluated
-    against the true channel, so with an imperfect estimate this plays
-    the role the training loss plays for a learned beamformer.  The
-    returned trace is the best rate seen up to each iteration and is
-    non-decreasing by construction.
-
-    `initial` overrides the starting combiner; `config.optimize_weights`
-    co-optimizes the user weights on the probability simplex.
-    """
-    cfg = config or OptimizerConfig()
-    h_est, h_true = _optimizer_channels(channel_est, channel_true, noise_power)
-    if h_true.ndim != 2:
-        raise ValueError("optimize_sum_rate takes one channel matrix; stacks go to optimize_sum_rate_batch")
-    antennas, users = h_true.shape
-    alpha = _check_weights(weights, users)
-
-    if initial is not None:
-        fast = power_project(np.asarray(initial, dtype=np.complex128))
-    elif cfg.init == "random":
-        fast = _random_start(cfg, users, antennas)
-    else:
-        fast = power_project(mmse_combiner(h_est, noise_power))
-    slow = fast.copy()
-
-    def rate_of(w, a):
-        return sum_rate(w, h_true, noise_power, a)
-
-    best_rate = rate_of(fast, alpha)
-    best_w = fast.copy()
-    best_alpha = alpha.copy()
-    trace = [best_rate]
-    for step in range(1, cfg.iterations + 1):
-        if cfg.gradient == "analytic":
-            grad = _rate_and_gradient(fast, h_true, noise_power, alpha)[1]
-        else:
-            grad = finite_difference_gradient(fast, h_true, noise_power, alpha, step=cfg.fd_step)
-        fast = power_project(fast + cfg.step_size * grad)
-        if cfg.optimize_weights:
-            gammas = sinr(fast, h_true, noise_power)
-            alpha = _project_simplex(alpha + cfg.step_size * np.log1p(gammas) / LOG2)
-        if cfg.lookahead_every and step % cfg.lookahead_every == 0:
-            slow = lookahead_update(slow, fast, cfg.lookahead_coeff)
-            fast = slow.copy()
-        current = rate_of(fast, alpha)
-        if current > best_rate:
-            best_rate = current
-            best_w = fast.copy()
-            best_alpha = alpha.copy()
-        trace.append(best_rate)
-    return OptimizeResult(combiner=best_w, trace=np.asarray(trace), weights=best_alpha)
-
-
-def optimize_sum_rate_batch(channel_est, channel_true, noise_power: float, config: OptimizerConfig | None = None) -> OptimizeResult:
-    """`optimize_sum_rate` over a stack of channels (..., antennas, users)
-    in one ascent loop.
-
-    Every entry keeps its own best iterate, weights and trace, and each
-    equals what `optimize_sum_rate` returns for that entry alone (same
-    start, steps and comparisons, bit for bit).  The rate and gradient
-    of each iterate come from one `_rate_and_gradient` call.  With
-    `init="random"` every entry starts from the one draw of `config.seed`.
-    """
-    cfg = config or OptimizerConfig()
-    h_est, h_true = _optimizer_channels(channel_est, channel_true, noise_power)
-    antennas, users = h_true.shape[-2:]
     stack = h_true.shape[:-2]
-    alpha = _uniform_weights(users)
-    if cfg.init == "random":
-        fast = np.broadcast_to(_random_start(cfg, users, antennas), stack + (users, antennas)).copy()
-    else:
+    alpha = _check_weights(weights, users)
+    best_alpha = np.broadcast_to(alpha, stack + (users,))
+    if initial is None:
         fast = power_project(mmse_combiner(h_est, noise_power))
+    else:
+        start = np.broadcast_to(np.asarray(initial, dtype=np.complex128), stack + (users, antennas))
+        fast = power_project(np.ascontiguousarray(start))
     slow = fast
 
     def rate_and_gradient(w, a):
@@ -390,7 +324,6 @@ def optimize_sum_rate_batch(channel_est, channel_true, noise_power: float, confi
 
     best_rate, grad = rate_and_gradient(fast, alpha)
     best_w = fast
-    best_alpha = np.broadcast_to(alpha, stack + (users,))
     trace = [best_rate]
     for step in range(1, cfg.iterations + 1):
         if grad is None:

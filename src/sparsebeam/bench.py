@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _buildinfo
+from . import _buildinfo, beamforming
 from .beamforming import (
     OptimizerConfig,
     mmse_combiner,
     optimize_sum_rate,  # unused here; perfbench's span tracer wraps bench.optimize_sum_rate
-    optimize_sum_rate_batch,
     power_project,
     sinr,
     sum_rate,
@@ -138,13 +137,14 @@ def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerC
     or a stack (..., antennas, users); `opt` also climbs the sum rate
     against `target`.  The callees resolve through this module's
     globals, so wrapping them here (perfbench's tracer does) covers both
-    the sweep and the CLI."""
+    the sweep and the CLI; the optimizer is the exception."""
     if method == "zf":
         return power_project(zf_combiner(estimate))
     if method == "mmse":
         return power_project(mmse_combiner(estimate, sigma2))
     if method == "opt":
-        return optimize_sum_rate_batch(estimate, target, sigma2, optimizer).combiner
+        # via the module: the tracer's optimizer hook takes one matrix only (ROADMAP item 1)
+        return beamforming.optimize_sum_rate(estimate, target, sigma2, optimizer).combiner
     raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
 
 

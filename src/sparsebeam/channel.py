@@ -126,11 +126,10 @@ def jakes_fading(doppler_hz: float, time_grid, seed, num_sinusoids: int = 32) ->
     if num_sinusoids < 8:
         raise ValueError("need at least 8 sinusoid components")
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, num_sinusoids)
-    phi = rng.uniform(0.0, 2.0 * np.pi, num_sinusoids)
+    theta = rng.uniform(0.0, 2.0 * np.pi, (1, 1, 1, num_sinusoids))
+    phi = rng.uniform(0.0, 2.0 * np.pi, (1, 1, 1, num_sinusoids))
     t = np.asarray(time_grid, dtype=np.float64)
-    phase = 2.0 * np.pi * doppler_hz * np.cos(theta)[:, None] * t[None, :] + phi[:, None]
-    return np.exp(1j * phase).sum(axis=0) / np.sqrt(num_sinusoids)
+    return _fading_block(np.array([doppler_hz], dtype=np.float64), theta, phi, t)[0, 0, 0]
 
 
 def _draw_paths(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, rng):

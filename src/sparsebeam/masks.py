@@ -175,8 +175,9 @@ def head_strides(stride: int, time_bias: float, head: int) -> tuple[int, int]:
     return stride_time, stride_freq
 
 
-def head_offsets(query: int, head: int, stride_time: int, stride_freq: int) -> tuple[int, int]:
-    """Per-query lattice offsets (time offset, frequency offset)."""
+def head_offsets(query, head: int, stride_time: int, stride_freq: int) -> tuple:
+    """Per-query lattice offsets (time offset, frequency offset); ints for
+    an int query, arrays for an int64 array of queries."""
     if stride_time < 1 or stride_freq < 1:
         raise ValueError("strides must be >= 1")
     off_time = (2 * head + query % stride_time) % stride_time
@@ -356,9 +357,7 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
 
     for h in range(1, grid.heads):
         st, sf = geometries[h].stride_time, geometries[h].stride_freq
-        queries = np.arange(tokens, dtype=np.int64)
-        off_t = (2 * h + queries % st) % st
-        off_f = (3 * h + queries % sf) % sf
+        off_t, off_f = head_offsets(np.arange(tokens, dtype=np.int64), h, st, sf)
         lattice = {}
         for dt in np.unique(off_t):
             t_vals = np.arange(dt, sym, st, dtype=np.int64) * sub

@@ -90,12 +90,64 @@ def softmax_rows_reference(scores, allowed):
     return weights
 
 
+def optimize_reference(channel_est, channel_true, noise_power, config, initial=None, weights=None):
+    """`optimize_sum_rate` on one channel matrix by the literal per-matrix
+    ascent loop: start from `initial` or the projected MMSE combiner of
+    the estimate, step, project, optionally update the weights and
+    absorb the lookahead, and keep the best iterate seen."""
+    from sparsebeam.beamforming import (
+        LOG2,
+        OptimizeResult,
+        _project_simplex,
+        _rate_and_gradient,
+        finite_difference_gradient,
+        lookahead_update,
+        mmse_combiner,
+        power_project,
+        sinr,
+        sum_rate,
+    )
+
+    h_true = np.asarray(channel_true, dtype=np.complex128)
+    users = h_true.shape[1]
+    alpha = np.full(users, 1.0 / users) if weights is None else np.asarray(weights, dtype=np.float64)
+    if initial is not None:
+        fast = power_project(np.asarray(initial, dtype=np.complex128))
+    else:
+        fast = power_project(mmse_combiner(channel_est, noise_power))
+    slow = fast.copy()
+
+    best_rate = sum_rate(fast, h_true, noise_power, alpha)
+    best_w = fast.copy()
+    best_alpha = alpha.copy()
+    trace = [best_rate]
+    for step in range(1, config.iterations + 1):
+        if config.gradient == "analytic":
+            grad = _rate_and_gradient(fast, h_true, noise_power, alpha)[1]
+        else:
+            grad = finite_difference_gradient(fast, h_true, noise_power, alpha, step=config.fd_step)
+        fast = power_project(fast + config.step_size * grad)
+        if config.optimize_weights:
+            gammas = sinr(fast, h_true, noise_power)
+            alpha = _project_simplex(alpha + config.step_size * np.log1p(gammas) / LOG2)
+        if config.lookahead_every and step % config.lookahead_every == 0:
+            slow = lookahead_update(slow, fast, config.lookahead_coeff)
+            fast = slow.copy()
+        current = sum_rate(fast, h_true, noise_power, alpha)
+        if current > best_rate:
+            best_rate = current
+            best_w = fast.copy()
+            best_alpha = alpha.copy()
+        trace.append(best_rate)
+    return OptimizeResult(combiner=best_w, trace=np.asarray(trace), weights=best_alpha)
+
+
 def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
     """Rates and SINRs of one realization for every method, one draw at a
     time on the full slot grid; resamples singular draws with the next
     derived seed and returns the resample count."""
     from sparsebeam import bench
-    from sparsebeam.beamforming import mmse_combiner, optimize_sum_rate, power_project, sinr, sum_rate, zf_combiner
+    from sparsebeam.beamforming import mmse_combiner, power_project, sinr, sum_rate, zf_combiner
     from sparsebeam.channel import DopplerConfig, add_estimation_error
     from sparsebeam.errors import SingularChannelError
 
@@ -120,7 +172,7 @@ def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
                 elif method == "mmse":
                     w = power_project(mmse_combiner(estimate, sigma2))
                 else:
-                    w = optimize_sum_rate(estimate, target, sigma2, config.optimizer).combiner
+                    w = optimize_reference(estimate, target, sigma2, config.optimizer).combiner
                 rates[method] = sum_rate(w, target, sigma2)
                 sinrs[method] = sinr(w, target, sigma2)
             return rates, sinrs, resampled
@@ -131,7 +183,7 @@ def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
 
 def sweep_points_reference(config):
     """`run_sweep(config).points` by the scalar per-realization protocol:
-    every realization on its own, `optimize_sum_rate` for `opt`."""
+    every realization on its own, `optimize_reference` for `opt`."""
     from sparsebeam.bench import SweepPoint
 
     points = []

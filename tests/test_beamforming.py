@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import optimize_reference
 
 from sparsebeam import (
     OptimizerConfig,
@@ -12,7 +13,6 @@ from sparsebeam import (
     lookahead_update,
     mmse_combiner,
     optimize_sum_rate,
-    optimize_sum_rate_batch,
     power_project,
     sinr,
     sum_rate,
@@ -25,6 +25,11 @@ from sparsebeam import (
 def rayleigh(m, n, seed):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+
+
+def random_start(users, antennas, seed):
+    """A seeded, power-projected random combiner to pass as `initial`."""
+    return power_project(rayleigh(users, antennas, seed) / np.sqrt(antennas))
 
 
 class TestZfCombiner:
@@ -226,8 +231,8 @@ class TestOptimizer:
         sigma2 = 0.1
         h = rayleigh(8, 1, 42)
         closed_form = np.log2(1 + (np.abs(h) ** 2).sum() / sigma2)
-        cfg = OptimizerConfig(iterations=1500, gradient="analytic", step_size=0.1, init="random", seed=9)
-        result = optimize_sum_rate(h, h, sigma2, cfg)
+        cfg = OptimizerConfig(iterations=1500, gradient="analytic", step_size=0.1)
+        result = optimize_sum_rate(h, h, sigma2, cfg, initial=random_start(1, 8, 9))
         assert abs(result.rate - closed_form) <= 1e-3
 
     def test_orthogonal_users_reach_zf(self):
@@ -284,6 +289,22 @@ class TestOptimizer:
         assert result.weights[0] > 0.9
         assert result.rate >= uniform.rate - 1e-9
 
+    def test_config_validation(self):
+        for bad in (
+            dict(gradient="exact"),
+            dict(lookahead_coeff=1.5),
+            dict(iterations=-1),
+            dict(lookahead_every=-1),
+            dict(step_size=0.0),
+            dict(step_size=float("nan")),
+            dict(step_size=float("inf")),
+            dict(fd_step=0.0),
+            dict(fd_step=-1e-6),
+            dict(fd_step=float("nan")),
+        ):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**bad)
+
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError):
             optimize_sum_rate(rayleigh(32, 2, 0), rayleigh(32, 2, 0), 0.1)
@@ -327,26 +348,42 @@ class TestStacks:
         assert info.value.singular.tolist() == [True, True, True]
 
     def test_batch_optimizer_equals_scalar(self):
+        # every entry of a stack equals the per-matrix reference loop bit
+        # for bit, with shared or per-entry starts and weights
         h = rayleigh_stack(4, 8, 2, 3)
         est = h + 0.3 * rayleigh_stack(4, 8, 2, 4)
+        starts = (None, random_start(2, 8, 1), np.stack([random_start(2, 8, (1, r)) for r in range(4)]))
+        weights = (None, np.array([0.3, 0.7]), np.array([[0.5, 0.5], [0.9, 0.1], [0.0, 1.0], [0.25, 0.75]]))
         for cfg in (
             OptimizerConfig(iterations=4),
+            sweep_optimizer_config(30),
             OptimizerConfig(iterations=30, gradient="analytic", lookahead_every=7, lookahead_coeff=0.3),
-            OptimizerConfig(iterations=30, gradient="analytic", optimize_weights=True, init="random", seed=1),
+            OptimizerConfig(iterations=30, gradient="analytic", optimize_weights=True, lookahead_every=0),
         ):
-            batch = optimize_sum_rate_batch(est, h, 0.2, cfg)
-            for r in range(4):
-                one = optimize_sum_rate(est[r], h[r], 0.2, cfg)
-                assert np.array_equal(batch.combiner[r], one.combiner)
-                assert np.array_equal(batch.trace[r], one.trace)
-                assert np.array_equal(batch.weights[r], one.weights)
+            for start in starts:
+                for alpha in weights:
+                    stack = optimize_sum_rate(est, h, 0.2, cfg, initial=start, weights=alpha)
+                    for r in range(4):
+                        one = optimize_reference(
+                            est[r],
+                            h[r],
+                            0.2,
+                            cfg,
+                            initial=None if start is None else start[r] if start.ndim == 3 else start,
+                            weights=None if alpha is None else alpha[r] if alpha.ndim == 2 else alpha,
+                        )
+                        assert np.array_equal(stack.combiner[r], one.combiner)
+                        assert np.array_equal(stack.trace[r], one.trace)
+                        assert np.array_equal(stack.weights[r], one.weights)
 
     def test_batch_optimizer_on_one_matrix(self):
         h = rayleigh(8, 2, 5)
-        one = optimize_sum_rate(h, h, 0.2, sweep_optimizer_config(10))
-        batch = optimize_sum_rate_batch(h, h, 0.2, sweep_optimizer_config(10))
-        assert isinstance(batch.rate, float) and batch.rate == one.rate
-        assert np.array_equal(batch.combiner, one.combiner)
+        for start in (None, random_start(2, 8, 6)):
+            one = optimize_reference(h, h, 0.2, sweep_optimizer_config(10), initial=start)
+            result = optimize_sum_rate(h, h, 0.2, sweep_optimizer_config(10), initial=start)
+            assert isinstance(result.rate, float) and result.rate == one.rate
+            assert np.array_equal(result.combiner, one.combiner)
+            assert np.array_equal(result.trace, one.trace)
 
 
 class TestOptimizerCeiling:
@@ -367,10 +404,10 @@ class TestOptimizerCeiling:
         h = rayleigh_stack(3, antennas, users, seed)
         est = h + est_error * rayleigh_stack(3, antennas, users, seed + 1)
         cfg = sweep_optimizer_config()
-        batch = optimize_sum_rate_batch(est, h, sigma2, cfg)
+        batch = optimize_sum_rate(est, h, sigma2, cfg)
         for r in range(3):
             genie = sum_rate(mmse_combiner(h[r], sigma2), h[r], sigma2)
-            scalar = optimize_sum_rate(est[r], h[r], sigma2, cfg).rate
+            scalar = optimize_reference(est[r], h[r], sigma2, cfg).rate
             assert scalar <= genie + 1e-12
             assert batch.rate[r] <= genie + 1e-12
             assert abs(batch.rate[r] - scalar) <= 1e-12

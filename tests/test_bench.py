@@ -78,7 +78,7 @@ ORACLE_CONFIGS = {
     "fd_gradient": dict(optimizer=OptimizerConfig(gradient="fd", iterations=3)),
     "weights_random_init_no_lookahead": dict(
         optimizer=OptimizerConfig(
-            gradient="analytic", iterations=20, optimize_weights=True, init="random", seed=5, lookahead_every=0
+            gradient="analytic", iterations=20, optimize_weights=True, lookahead_every=0
         )
     ),
 }

@@ -90,6 +90,18 @@ class TestJakesFading:
         t = np.arange(5) * 1e-4
         assert np.array_equal(jakes_fading(100.0, t, seed=3), jakes_fading(100.0, t, seed=3))
 
+    @pytest.mark.parametrize("symbols, velocity, sinusoids", [(14, 40.0, 32), (1, 3.0, 8), (7, 0.0, 16), (20, 120.0, 50)])
+    def test_generator_path_is_jakes(self, symbols, velocity, sinusoids):
+        # one tap, antenna and user at a fixed velocity: the generator's
+        # fading is `jakes_fading` itself, so the Bessel oracle covers it
+        ofdm = OfdmConfig(symbols=symbols, subcarriers=3, num_taps=1)
+        doppler = DopplerConfig(carrier_hz=2.6e9, velocity_mps=velocity, num_sinusoids=sinusoids)
+        times = np.arange(symbols) * ofdm.symbol_duration_s
+        for seed in range(10):
+            h = generate_channel(ofdm, doppler, 1, 1, seed).true_channel[:, 0, 0, 0]
+            g = jakes_fading(max_doppler(velocity, 2.6e9), times, seed, num_sinusoids=sinusoids)
+            assert np.array_equal(h, g)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             jakes_fading(-1.0, [0.0], seed=0)

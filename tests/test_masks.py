@@ -83,6 +83,12 @@ class TestHeadOffsets:
                 dt, df = head_offsets(i, h, 3, 4)
                 assert 0 <= dt < 3 and 0 <= df < 4
 
+    def test_array_queries_match_scalar(self):
+        queries = np.arange(100, dtype=np.int64)
+        for h, st, sf in ((1, 2, 13), (2, 3, 4), (3, 1, 7)):
+            off_t, off_f = head_offsets(queries, h, st, sf)
+            assert [(int(a), int(b)) for a, b in zip(off_t, off_f)] == [head_offsets(i, h, st, sf) for i in range(100)]
+
 
 class TestDopplerMasks:
     def test_canonical_query_368(self, canonical_masks):
