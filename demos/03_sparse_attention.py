@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """The masked attention kernel: sparse path vs dense oracle, gradient
-verification, and the attended-keys histogram.
+verification, row classes, and the attended-keys histogram.
 
 Run: python demos/03_sparse_attention.py
 """
@@ -52,7 +52,15 @@ err = gradient_check(block, masks)
 print(f"max relative gradient error (step 1e-5): {err:.2e}")
 
 print()
-print("=== 5. Attended-keys histogram on the canonical slot ===")
+print("=== 5. Row classes: the kernel attends each distinct row once ===")
+for symbols, subcarriers in ((14, 48), (64, 64)):
+    grid_rc = GridSpec(symbols=symbols, subcarriers=subcarriers, heads=2, time_bias=2.0)
+    classes = build_doppler_masks(grid_rc).validation_report()["row_classes_per_head"]
+    print(f"{symbols}x{subcarriers} ({grid_rc.tokens} queries): distinct rows per head {classes}")
+print("head 0 rows depend on i mod s, lattice rows on (i mod st, i mod sf); each class is attended as dense blocks")
+
+print()
+print("=== 6. Attended-keys histogram on the canonical slot ===")
 slot = GridSpec(symbols=14, subcarriers=48, heads=2, time_bias=2.0)
 report = attended_keys_histogram(build_doppler_masks(slot), samples=16)
 print(f"total queries (16 samples x 672): {report.total_queries}")

@@ -15,6 +15,7 @@ from .attention import (
     attended_keys_histogram,
     dense_masked_oracle,
     gradient_check,
+    sparse_attention_backward,
     sparse_attention_forward,
 )
 from .beamforming import (

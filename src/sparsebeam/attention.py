@@ -1,21 +1,24 @@
 """Masked multi-head scaled dot-product attention over sparse rows.
 
-The sparse forward pass gathers only the keys a mask row allows; the
-dense oracle materializes the full score matrix and masks with -inf
-before the softmax.  Both paths must agree to float precision, and the
-hand-written backward pass is checked against central finite
-differences.  Embeddings are synthetic (seeded Gaussian): the mechanism
-is under test here, not learned weights.
+The sparse forward pass attends each distinct mask row (row class)
+once: the queries that share a row form dense blocks against that
+row's gathered keys and values.  The dense oracle materializes the
+full score matrix and masks with -inf before the softmax.  Both paths
+must agree to float precision, and the hand-written backward pass is
+checked against central finite differences.  Embeddings are
+synthetic (seeded Gaussian): the mechanism is under test here, not
+learned weights.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import SparseMaskSet
+from .masks import RowBlocks, SparseMaskSet
 
 
 @dataclass
@@ -64,24 +67,14 @@ class EmbeddingBlock:
 class AttentionResult:
     output: np.ndarray  # (tokens, model_dim), head outputs concatenated
     empty_rows: list[tuple[int, int]] = field(default_factory=list)  # (head, query)
-    weights: list[np.ndarray] | None = None  # per head: (tokens, pad_width)
+    # keep_weights only, per head (tokens, max(1, longest row)): column j
+    # holds the weight of the query's j-th key; weight_masks marks j < row length
+    weights: list[np.ndarray] | None = None
     weight_masks: list[np.ndarray] | None = None
 
     @property
     def empty_row_count(self) -> int:
         return len(self.empty_rows)
-
-
-def _padded_rows(masks: SparseMaskSet, head: int):
-    """Pack a head's CSR rows into (tokens, width) index + validity arrays."""
-    indptr, indices = masks.head_csr(head)
-    lengths = np.diff(indptr)
-    width = max(1, int(lengths.max()) if lengths.size else 1)
-    tokens = masks.tokens
-    idx = np.zeros((tokens, width), dtype=np.int64)
-    valid = np.arange(width)[None, :] < lengths[:, None]
-    idx[valid] = indices
-    return idx, valid
 
 
 def _check_block(block: EmbeddingBlock, masks: SparseMaskSet) -> None:
@@ -95,21 +88,22 @@ def _check_block(block: EmbeddingBlock, masks: SparseMaskSet) -> None:
         )
 
 
-def _head_forward(block, idx, valid, head):
-    """One head's gathered scores -> softmax weights -> outputs."""
-    q = block.queries[head]
-    k_rows = block.keys[head][idx]
-    v_rows = block.values[head][idx]
-    scale = 1.0 / np.sqrt(block.head_dim)
-    scores = np.einsum("td,twd->tw", q, k_rows) * scale
-    scores = np.where(valid, scores, -np.inf)
-    nonempty = valid.any(axis=1)
-    row_max = np.where(nonempty, scores.max(axis=1), 0.0)
-    weights = np.exp(scores - row_max[:, None])  # exp(-inf) = 0 on padding
-    denom = weights.sum(axis=1)
-    weights = weights / np.where(nonempty, denom, 1.0)[:, None]
-    out = np.einsum("tw,twd->td", weights, v_rows)
-    return out, weights, v_rows, nonempty
+def _class_attention(block: EmbeddingBlock, packed: RowBlocks, head: int):
+    """One head's softmax attention over its row blocks: q (blocks, n, d)
+    against each block's gathered k, v (blocks, width, d).  Returns q
+    scaled by 1/sqrt(d), k, v, the weights (blocks, n, width; 0 on
+    padded keys) and the outputs (blocks, n, d)."""
+    q = block.queries[head].take(packed.queries, axis=0)
+    q *= 1.0 / math.sqrt(block.head_dim)
+    k = block.keys[head].take(packed.keys, axis=0)
+    v = block.values[head].take(packed.keys, axis=0)
+    weights = np.matmul(q, k.transpose(0, 2, 1))
+    np.copyto(weights, -np.inf, where=~packed.key_valid[:, None, :])
+    # Every block row has a key, so the max is finite; exp(-inf) = 0 on padding.
+    weights -= weights.max(axis=2, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=2, keepdims=True)
+    return q, k, v, weights, np.matmul(weights, v)
 
 
 def sparse_attention_forward(
@@ -123,19 +117,22 @@ def sparse_attention_forward(
     still covers the query).
     """
     _check_block(block, masks)
-    outputs = []
+    d = block.head_dim
+    output = np.zeros((block.tokens, block.model_dim))
     empty: list[tuple[int, int]] = []
     kept_w, kept_m = [], []
     for h in range(block.heads):
-        idx, valid = _padded_rows(masks, h)
-        out, weights, _, nonempty = _head_forward(block, idx, valid, h)
-        for i in np.flatnonzero(~nonempty):
-            empty.append((h, int(i)))
-        outputs.append(out)
+        packed = masks.row_blocks(h)
+        weights, out = _class_attention(block, packed, h)[3:]
+        output[packed.placed, h * d : (h + 1) * d] = out.reshape(-1, d).take(packed.slots, axis=0)
+        lengths = masks.row_lengths(h)
+        empty.extend((h, int(i)) for i in np.flatnonzero(lengths == 0))
         if keep_weights:
-            kept_w.append(weights)
-            kept_m.append(valid)
-    result = AttentionResult(np.concatenate(outputs, axis=1), empty)
+            width = weights.shape[2]
+            kept_w.append(np.zeros((block.tokens, width)))
+            kept_w[-1][packed.placed] = weights.reshape(-1, width)[packed.slots]
+            kept_m.append(np.arange(width) < lengths[:, None])
+    result = AttentionResult(output, empty)
     if keep_weights:
         result.weights, result.weight_masks = kept_w, kept_m
     return result
@@ -144,8 +141,8 @@ def sparse_attention_forward(
 def dense_masked_oracle(block: EmbeddingBlock, masks: SparseMaskSet) -> AttentionResult:
     """Reference path: full TxT scores with -inf on disallowed entries.
 
-    Kept deliberately independent of the gathered sparse path so the two
-    can cross-check each other.
+    Kept deliberately independent of the row-class sparse path so the
+    two can cross-check each other.
     """
     _check_block(block, masks)
     tokens = block.tokens
@@ -170,30 +167,45 @@ def dense_masked_oracle(block: EmbeddingBlock, masks: SparseMaskSet) -> Attentio
     return AttentionResult(np.concatenate(outputs, axis=1), empty)
 
 
-def _loss_and_gradients(block: EmbeddingBlock, masks: SparseMaskSet):
-    """Sum-of-squares loss of the sparse forward plus hand-derived
-    gradients w.r.t. every Q/K/V entry."""
+def sparse_attention_backward(block: EmbeddingBlock, masks: SparseMaskSet, d_out):
+    """Gradients (d_q, d_k, d_v) of sum(output * d_out) w.r.t. every
+    Q/K/V entry, where output is `sparse_attention_forward(block,
+    masks).output` and d_out, shaped like it, is the upstream gradient.
+
+    Recomputes the forward on the same row-class layout.
+    """
     _check_block(block, masks)
-    scale = 1.0 / np.sqrt(block.head_dim)
+    d_out = np.asarray(d_out, dtype=np.float64)
+    if d_out.shape != (block.tokens, block.model_dim):
+        raise ValueError(f"d_out must have shape {(block.tokens, block.model_dim)}, got {d_out.shape}")
+    d = block.head_dim
+    scale = 1.0 / math.sqrt(d)
     d_q = np.zeros_like(block.queries)
     d_k = np.zeros_like(block.keys)
     d_v = np.zeros_like(block.values)
-    loss = 0.0
     for h in range(block.heads):
-        idx, valid = _padded_rows(masks, h)
-        out, weights, v_rows, _ = _head_forward(block, idx, valid, h)
-        loss += float((out**2).sum())
-        g = 2.0 * out  # d loss / d out
+        packed = masks.row_blocks(h)
+        q, k, v, weights, _ = _class_attention(block, packed, h)
+        blocks, n, _ = weights.shape
+        g = np.zeros((blocks * n, d))  # padded slots carry no gradient
+        g[packed.slots] = d_out[packed.placed, h * d : (h + 1) * d]
+        g = g.reshape(blocks, n, d)
+        keys = packed.keys[packed.key_valid]
         # values: each attended v_j collects weight * upstream gradient
-        np.add.at(d_v[h], idx[valid], (weights[..., None] * g[:, None, :])[valid])
+        np.add.at(d_v[h], keys, np.matmul(weights.transpose(0, 2, 1), g)[packed.key_valid])
         # softmax backward: ds = w * (a - sum_j w_j a_j), a = g . v_j
-        a = np.einsum("td,twd->tw", g, v_rows)
-        b = (weights * a).sum(axis=1, keepdims=True)
-        ds = weights * (a - b)
-        ds[~valid] = 0.0
-        d_q[h] += np.einsum("tw,twd->td", ds, block.keys[h][idx]) * scale
-        np.add.at(d_k[h], idx[valid], (ds[..., None] * block.queries[h][:, None, :] * scale)[valid])
-    return loss, d_q, d_k, d_v
+        a = np.matmul(g, v.transpose(0, 2, 1))
+        ds = weights * (a - (weights * a).sum(axis=2, keepdims=True))
+        d_q[h][packed.placed] = (np.matmul(ds, k) * scale).reshape(-1, d)[packed.slots]
+        np.add.at(d_k[h], keys, np.matmul(ds.transpose(0, 2, 1), q)[packed.key_valid])
+    return d_q, d_k, d_v
+
+
+def _loss_and_gradients(block: EmbeddingBlock, masks: SparseMaskSet):
+    """Sum-of-squares loss of the sparse forward plus its gradients
+    w.r.t. every Q/K/V entry."""
+    out = sparse_attention_forward(block, masks).output
+    return (float((out**2).sum()), *sparse_attention_backward(block, masks, 2.0 * out))
 
 
 def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet, step: float = 1e-5) -> float:
@@ -211,10 +223,13 @@ def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet, step: float = 1e
         return float((out**2).sum())
 
     worst = 0.0
-    arrays = (block.queries, block.keys, block.values)
+    # Perturb private C-contiguous copies: ravel() of a non-contiguous
+    # array is a copy the forward would never see, and the caller's
+    # block is never written.
+    arrays = tuple(np.array(a, order="C") for a in (block.queries, block.keys, block.values))
     grads = (d_q, d_k, d_v)
-    for which, (arr, grad) in enumerate(zip(arrays, grads)):
-        flat = arr.ravel()
+    for arr, grad in zip(arrays, grads):
+        flat = arr.reshape(-1)
         for pos in range(flat.size):
             orig = flat[pos]
             flat[pos] = orig + step

@@ -94,7 +94,8 @@ def _cmd_masks(args) -> int:
             fh.write("\n")
         report = masks.validation_report()
         _say(args, f"wrote {args.out}: {masks.head_count} heads x {masks.tokens} tokens, "
-                   f"empty rows per head {report['empty_rows_per_head']}")
+                   f"empty rows per head {report['empty_rows_per_head']}, "
+                   f"row classes per head {report['row_classes_per_head']}")
     else:
         print(payload)
     return 0

@@ -13,13 +13,16 @@ i % subcarriers).  Two mask families are built here:
 
 Masks are stored row-compressed: one strictly ascending int64 key-index
 array per (head, query).  Construction is pure and deterministic; a
-rebuilt mask set compares bit-identical.
+rebuilt mask set compares bit-identical.  The grouping of queries by
+identical row (`row_classes`) and its dense block packing for the
+attention kernel (`row_blocks`) are derived on first use only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +137,70 @@ def _pairs_to_csr(rows, keys, tokens):
     return indptr, flat % tokens
 
 
+def _group_rows(indptr, indices):
+    """(classes, representatives) of CSR rows grouped by exact equality.
+
+    Rows are padded with -1 (never a key) to a common width and sorted
+    with a stable lexsort, so equal rows become adjacent and each
+    group's first member is its smallest query.
+    """
+    lengths = np.diff(indptr)
+    width = max(1, int(lengths.max()))
+    padded = np.full((lengths.size, width), -1, dtype=np.int64)
+    padded[np.arange(width) < lengths[:, None]] = indices
+    order = np.lexsort(padded.T[::-1])  # column 0 is the primary key
+    ordered = padded[order]
+    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    group_reps = order[starts]
+    by_rep = np.argsort(group_reps)
+    renumber = np.empty_like(by_rep)
+    renumber[by_rep] = np.arange(by_rep.size)
+    classes = np.empty_like(order)
+    classes[order] = renumber[np.cumsum(starts) - 1]
+    return classes, group_reps[by_rep]
+
+
+class RowBlocks(NamedTuple):
+    """A head's queries with non-empty rows, packed so that each block
+    holds queries of one row class against that class's one key row.
+
+    Blocks have n slots, n being the mean size of the non-empty classes;
+    a larger class spans several blocks, so there are at most
+    3 x tokens slots on any mask.  Padded slots hold query 0 and padded
+    keys hold key 0; `slots` marks the real ones and `key_valid` the
+    real keys.
+    """
+
+    queries: np.ndarray  # (blocks, n) query of each slot
+    keys: np.ndarray  # (blocks, width) the block's key row, padded
+    key_valid: np.ndarray  # (blocks, width) True on the row's keys
+    placed: np.ndarray  # (m,) every query whose row is non-empty
+    slots: np.ndarray  # (m,) flat slot (block * n + position) of each placed query
+
+
+def _pack_row_blocks(indptr, indices, classes, reps):
+    """`RowBlocks` of one head from its CSR rows and row classes."""
+    sizes = np.bincount(classes, minlength=reps.size)
+    lengths = indptr[reps + 1] - indptr[reps]
+    live = lengths > 0
+    n = max(1, -(-int(sizes[live].sum()) // max(1, int(live.sum()))))
+    blocks = np.where(live, -(-sizes // n), 0)
+    order = np.argsort(classes, kind="stable")
+    rank = np.arange(classes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    slot = np.repeat((np.cumsum(blocks) - blocks) * n, sizes) + rank
+    keep = np.repeat(live, sizes)
+    placed, slots = order[keep], slot[keep]
+    queries = np.zeros(int(blocks.sum()) * n, dtype=np.int64)
+    queries[slots] = placed
+
+    block_class = np.repeat(np.arange(reps.size), blocks)
+    width = max(1, int(lengths.max()))
+    key_valid = np.arange(width) < lengths[block_class, None]
+    keys = np.zeros(key_valid.shape, dtype=np.int64)
+    keys[key_valid] = indices[(indptr[reps[block_class], None] + np.arange(width))[key_valid]]
+    return RowBlocks(queries.reshape(-1, n), keys, key_valid, placed, slots)
+
+
 def global_stride(tokens: int, heads: int) -> int:
     """Stride of the global head: ceil(tokens ** (1 - 1/heads)).
 
@@ -239,6 +306,8 @@ class SparseMaskSet:
             self._heads.append((indptr, indices))
         if len(self._heads) != grid.heads:
             raise ValueError("one row block per head required")
+        self._row_classes = [None] * len(self._heads)
+        self._row_blocks = [None] * len(self._heads)
 
     @classmethod
     def from_rows(cls, grid, pattern_kind, rows_per_head, geometries=None, causal=False):
@@ -268,6 +337,26 @@ class SparseMaskSet:
     def head_csr(self, head: int) -> tuple[np.ndarray, np.ndarray]:
         return self._heads[head]
 
+    def row_classes(self, head: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact grouping of a head's queries by identical key row.
+
+        Returns (classes, representatives): query i has row class
+        classes[i], and representatives[c] is the smallest query of
+        class c.  Classes are numbered in the order of their
+        representatives, so `representatives` ascends.  Computed on
+        first use and memoized, since the rows never change.
+        """
+        if self._row_classes[head] is None:
+            self._row_classes[head] = _group_rows(*self._heads[head])
+        return self._row_classes[head]
+
+    def row_blocks(self, head: int) -> RowBlocks:
+        """The head's non-empty rows packed as dense query blocks per row
+        class (see `RowBlocks`); memoized like `row_classes`."""
+        if self._row_blocks[head] is None:
+            self._row_blocks[head] = _pack_row_blocks(*self._heads[head], *self.row_classes(head))
+        return self._row_blocks[head]
+
     def union_rows(self, heads=None) -> tuple[np.ndarray, np.ndarray]:
         """Merge rows across heads, deduplicated and sorted per query."""
         picked = range(self.head_count) if heads is None else list(heads)
@@ -277,18 +366,21 @@ class SparseMaskSet:
         return _pairs_to_csr(rows, keys, self.tokens)
 
     def validation_report(self) -> dict:
-        """Observability hook: empty rows per head and union coverage.
+        """Observability hook: empty rows and distinct rows (row classes)
+        per head, and union coverage.
 
         Empty head rows are legal for the Doppler-aware pattern (the
         lattice offset can fall outside the grid); the union over heads
         must still cover every query.
         """
         per_head_empty = [int((self.row_lengths(h) == 0).sum()) for h in range(self.head_count)]
+        per_head_classes = [int(self.row_classes(h)[1].size) for h in range(self.head_count)]
         union_lengths = np.zeros(self.tokens, dtype=np.int64)
         for h in range(self.head_count):
             union_lengths += self.row_lengths(h)
         return {
             "empty_rows_per_head": per_head_empty,
+            "row_classes_per_head": per_head_classes,
             "queries_without_keys": int((union_lengths == 0).sum()),
         }
 

@@ -76,6 +76,20 @@ def diameter_by_powering(adjacency):
     return int(dist.max()), True
 
 
+def row_classes_reference(masks, head):
+    """(classes, representatives) of one head by a dict of literal rows:
+    a query opens a new class when its row was not seen before."""
+    seen = {}
+    classes, representatives = [], []
+    for i in range(masks.tokens):
+        row = tuple(int(j) for j in masks.row(head, i))
+        if row not in seen:
+            seen[row] = len(representatives)
+            representatives.append(i)
+        classes.append(seen[row])
+    return np.array(classes), np.array(representatives)
+
+
 def softmax_rows_reference(scores, allowed):
     """Row softmax over allowed entries only; all-blocked rows -> zeros."""
     tokens = scores.shape[0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebeam import (
     EmbeddingBlock,
@@ -9,9 +11,11 @@ from sparsebeam import (
     SparseMaskSet,
     attended_keys_histogram,
     build_doppler_masks,
+    build_fixed_strided_masks,
     dense_masked_oracle,
     gradient_check,
     row_count_closedform,
+    sparse_attention_backward,
     sparse_attention_forward,
 )
 
@@ -124,6 +128,62 @@ class TestForward:
             EmbeddingBlock(data, np.zeros_like(data), np.zeros_like(data))
 
 
+class TestRowClassKernel:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_doppler_masks,
+            build_fixed_strided_masks,
+            lambda grid: build_fixed_strided_masks(grid, causal=True),
+        ],
+        ids=["doppler", "fixed", "fixed-causal"],
+    )
+    def test_canonical_grid_matches_oracle(self, canonical_grid, build):
+        masks = build(canonical_grid)
+        block = EmbeddingBlock.random(canonical_grid.tokens, 16, 2, seed=3)
+        sparse = sparse_attention_forward(block, masks)
+        dense = dense_masked_oracle(block, masks)
+        assert np.abs(sparse.output - dense.output).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_masks_match_oracle(self, data):
+        # rows come from a small pool, so row classes repeat; the pool
+        # holds empty rows and rows of unequal lengths
+        symbols = data.draw(st.integers(1, 5))
+        subcarriers = data.draw(st.integers(1, 40 // symbols))
+        heads = data.draw(st.integers(1, 3))
+        grid = GridSpec(symbols, subcarriers, heads)
+        key_sets = st.sets(st.integers(0, grid.tokens - 1), max_size=grid.tokens).map(sorted)
+        rows_per_head = []
+        for _ in range(heads):
+            pool = data.draw(st.lists(key_sets, min_size=1, max_size=4))
+            rows_per_head.append(data.draw(st.lists(st.sampled_from(pool), min_size=grid.tokens, max_size=grid.tokens)))
+        masks = SparseMaskSet.from_rows(grid, "doppler_aware", rows_per_head)
+        block = EmbeddingBlock.random(grid.tokens, 2 * heads, heads, seed=data.draw(st.integers(0, 2**16)))
+        sparse = sparse_attention_forward(block, masks, keep_weights=True)
+        dense = dense_masked_oracle(block, masks)
+        assert np.abs(sparse.output - dense.output).max() <= 1e-12
+        assert sparse.empty_rows == dense.empty_rows
+        for h, (weights, valid) in enumerate(zip(sparse.weights, sparse.weight_masks)):
+            width = max(1, max(len(row) for row in rows_per_head[h]))
+            assert weights.shape == valid.shape == (grid.tokens, width)
+
+    @pytest.mark.parametrize("singletons", [0, 1, 5, 23])
+    def test_skewed_classes_bound_padding(self, singletons):
+        # one class holds all but `singletons` queries, each of which is
+        # a class of its own
+        grid = GridSpec(4, 6, heads=1)
+        shared = [0, 5, 9]
+        rows = [[i] if i < singletons else shared for i in range(grid.tokens)]
+        masks = SparseMaskSet.from_rows(grid, "doppler_aware", [rows])
+        assert masks.row_classes(0)[1].size == singletons + (singletons < grid.tokens)
+        assert masks.row_blocks(0).queries.size <= 3 * grid.tokens
+        block = EmbeddingBlock.random(grid.tokens, 4, 1, seed=singletons)
+        sparse = sparse_attention_forward(block, masks).output
+        assert np.abs(sparse - dense_masked_oracle(block, masks).output).max() <= 1e-12
+
+
 class TestDenseOracle:
     def test_full_mask_is_plain_attention(self):
         grid = GridSpec(2, 5, heads=1)
@@ -163,6 +223,47 @@ class TestGradientCheck:
         # above the finite-difference noise floor of the pinned 1e-5 step
         _, masks, block = make_case(spec, seed=seed)
         assert gradient_check(block, masks) <= 1e-5
+
+
+    def test_backward_matches_central_differences(self):
+        # arbitrary upstream gradient: d/dx sum(out * d_out) by central
+        # differences on every Q/K/V entry
+        grid, masks, block = make_case((4, 6, 2, 2.0), seed=2)
+        d_out = np.random.default_rng(17).standard_normal((grid.tokens, block.model_dim))
+        analytic = sparse_attention_backward(block, masks, d_out)
+        arrays = [block.queries.copy(), block.keys.copy(), block.values.copy()]
+        step = 1e-5
+        worst = 0.0
+        for which, grad in enumerate(analytic):
+            flat = arrays[which].reshape(-1)
+            for pos in range(flat.size):
+                orig = flat[pos]
+                sides = []
+                for value in (orig + step, orig - step):
+                    flat[pos] = value
+                    out = sparse_attention_forward(EmbeddingBlock(*arrays), masks).output
+                    sides.append(float((out * d_out).sum()))
+                flat[pos] = orig
+                numeric = (sides[0] - sides[1]) / (2.0 * step)
+                worst = max(worst, abs(grad.reshape(-1)[pos] - numeric))
+        assert worst <= 1e-8
+
+    def test_backward_rejects_wrong_shape(self):
+        grid, masks, block = make_case((4, 6, 2, 2.0))
+        with pytest.raises(ValueError):
+            sparse_attention_backward(block, masks, np.zeros((grid.tokens, block.model_dim + 1)))
+
+    def test_non_contiguous_block(self):
+        # a transposed view: perturbing its ravel() (a copy) would never
+        # reach the forward
+        _, masks, block = make_case((4, 6, 2, 2.0), seed=11)
+        view = np.ascontiguousarray(block.queries.transpose(2, 1, 0)).transpose(2, 1, 0)
+        strided = EmbeddingBlock(view, block.keys, block.values)
+        assert not strided.queries.flags.c_contiguous
+        before = [a.copy() for a in (strided.queries, strided.keys, strided.values)]
+        assert gradient_check(strided, masks) <= 1e-5
+        for was, now in zip(before, (strided.queries, strided.keys, strided.values)):
+            assert np.array_equal(was, now)
 
 
 class TestHistogram:

@@ -43,6 +43,11 @@ class TestMasksCommand:
         restored = SparseMaskSet.from_json_dict(payload)
         assert restored.tokens == 6
 
+    def test_reports_empty_rows_and_row_classes(self, tmp_path, capsys):
+        out = tmp_path / "masks.json"
+        assert cli_dispatch(["masks", "--L", "2", "--K", "3", "--out", str(out)]) == 0
+        assert "empty rows per head [0, 2], row classes per head [3, 3]" in capsys.readouterr().out
+
     def test_fixed_pattern(self, tmp_path):
         out = tmp_path / "fixed.json"
         code = cli_dispatch(["masks", "--L", "2", "--K", "3", "--pattern", "fixed", "--causal",

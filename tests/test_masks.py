@@ -22,7 +22,7 @@ from sparsebeam import (
 )
 
 from conftest import BATTERY_GRIDS
-from reference import doppler_masks_reference, fixed_masks_reference, stride_reference
+from reference import doppler_masks_reference, fixed_masks_reference, row_classes_reference, stride_reference
 
 
 class TestGlobalStride:
@@ -222,6 +222,55 @@ class TestFixedStridedMasks:
     def test_requires_two_heads(self):
         with pytest.raises(ValueError):
             build_fixed_strided_masks(GridSpec(4, 5, 3, 2.0))
+
+
+def _row_class_cases():
+    for spec in BATTERY_GRIDS:
+        yield f"doppler-{spec}", lambda spec=spec: build_doppler_masks(GridSpec(*spec))
+        for causal in (False, True):
+            yield f"fixed-{spec[:2]}-causal{causal}", (
+                lambda spec=spec, causal=causal: build_fixed_strided_masks(GridSpec(*spec[:2], 2), causal=causal)
+            )
+    yield "doppler-64x64", lambda: build_doppler_masks(GridSpec(64, 64))
+
+
+ROW_CLASS_CASES = dict(_row_class_cases())
+
+
+class TestRowClasses:
+    @pytest.mark.parametrize("case", ROW_CLASS_CASES)
+    def test_matches_reference(self, case):
+        masks = ROW_CLASS_CASES[case]()
+        for h in range(masks.head_count):
+            classes, reps = masks.row_classes(h)
+            want_classes, want_reps = row_classes_reference(masks, h)
+            assert np.array_equal(classes, want_classes)
+            assert np.array_equal(reps, want_reps)
+
+    def test_lazy_and_memoized(self):
+        masks = build_doppler_masks(GridSpec(8, 8, 3, 2.0))
+        assert masks._row_classes == [None] * 3 and masks._row_blocks == [None] * 3
+        assert masks.row_classes(1) is masks.row_classes(1)
+        assert masks.row_blocks(2) is masks.row_blocks(2)
+
+    def test_validation_report_counts(self, canonical_masks):
+        assert build_doppler_masks(GridSpec(64, 64)).validation_report()["row_classes_per_head"] == [64, 32]
+        # head 0: the 26 residues mod s; head 1: (i mod 2, i mod 13) pairs
+        assert canonical_masks.validation_report()["row_classes_per_head"] == [26, 26]
+
+    @pytest.mark.parametrize("case", ROW_CLASS_CASES)
+    def test_row_blocks_pack_each_class(self, case):
+        masks = ROW_CLASS_CASES[case]()
+        for h in range(masks.head_count):
+            packed = masks.row_blocks(h)
+            nonempty = np.flatnonzero(masks.row_lengths(h) > 0)
+            assert np.array_equal(np.sort(packed.placed), nonempty)
+            assert np.unique(packed.slots).size == packed.slots.size
+            assert np.array_equal(packed.queries.reshape(-1)[packed.slots], packed.placed)
+            assert packed.queries.size <= 3 * masks.tokens
+            blocks_of = packed.slots // packed.queries.shape[1]
+            for query, b in zip(packed.placed, blocks_of):
+                assert np.array_equal(packed.keys[b][packed.key_valid[b]], masks.row(h, query))
 
 
 class TestGridSpec:
