@@ -38,7 +38,6 @@ class DopplerConfig:
     carrier_hz: float = 2.6e9
     velocity_mps: float | tuple[float, float] = (0.0, 10.0)
     num_sinusoids: int = 32
-    seed: int | None = None
 
     def __post_init__(self):
         if self.carrier_hz <= 0:

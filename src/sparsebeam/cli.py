@@ -2,9 +2,13 @@
 
 Subcommands: masks, graph, attn-check, histogram, channel, beamform,
 sweep.  Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 io or resource-limit error.  A flat key=value config file can seed
-any flag's default; explicit flags win.  A config key that names no
-flag of any subcommand, or a malformed config line, is a usage error.
+3 io or resource-limit error.  `--config FILE` reads flat key = value
+lines; each entry of the running subcommand becomes its flag, inserted
+right after the subcommand name, so argparse parses a config value
+exactly as it parses the flag (a switch takes true or false).  A key
+whose flag is also on the command line is ignored, so explicit flags
+win.  A key of another subcommand is skipped; a key that names no flag
+of any subcommand, or a malformed line, is a usage error.
 """
 
 from __future__ import annotations
@@ -25,25 +29,9 @@ from .graph import connectivity_report, verify_partition
 from .masks import DEFAULT_TOKEN_CAP, GridSpec, build_doppler_masks, build_fixed_strided_masks
 
 
-def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            continue
-    return low
-
-
-_CONFIG_KEY_ALIASES = {"lambda": "time_bias"}
-
-
 def load_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment.  Keys use the long
-    flag names with dashes replaced by underscores ('lambda' is accepted
-    for the time-bias factor)."""
+    """Flat key = value lines; '#' starts a comment.  Keys are long flag
+    names with dashes written as underscores; values stay strings."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -53,14 +41,12 @@ def load_config_file(path) -> dict:
             if "=" not in body:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, raw = body.split("=", 1)
-            key = key.strip().replace("-", "_")
-            key = _CONFIG_KEY_ALIASES.get(key, key)
-            values[key] = _coerce(raw)
+            values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
 
 def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file seeding flag defaults")
+    parser.add_argument("--config", help="flat key = value file of flag values; explicit flags win")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quiet", action="store_true")
 
@@ -231,22 +217,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; `config` keys become flag defaults on every
-    subcommand (subparsers keep their own default tables, so the config
-    has to be pushed onto each one)."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsebeam",
         description="Doppler-aware sparse attention masks and beamformer benchmarks",
     )
     parser.add_argument("--version", action="version", version=f"sparsebeam {_buildinfo.VERSION} build {_buildinfo.build_hash()}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _finish(p):
-        # config values land after the argument defaults, so they win
-        # over defaults while explicit flags still win over them
-        if config:
-            p.set_defaults(**config)
 
     p = sub.add_parser("masks", help="build sparse masks and export them as JSON")
     _add_common(p)
@@ -256,7 +233,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int, default=DEFAULT_TOKEN_CAP)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_masks)
-    _finish(p)
 
     p = sub.add_parser("graph", help="connectivity report for the Doppler-aware masks")
     _add_common(p)
@@ -265,7 +241,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--sample", action="store_true", help="sampled sources above the BFS cap")
     p.add_argument("--report", help="write the full report JSON here")
     p.set_defaults(handler=_cmd_graph)
-    _finish(p)
 
     p = sub.add_parser("attn-check", help="sparse forward vs dense oracle plus gradient check")
     _add_common(p)
@@ -277,7 +252,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--tol-forward", type=float, default=1e-6)
     p.add_argument("--tol-grad", type=float, default=1e-5)
     p.set_defaults(handler=_cmd_attn_check)
-    _finish(p)
 
     p = sub.add_parser("histogram", help="attended-keys-per-query histogram as CSV")
     _add_common(p)
@@ -285,7 +259,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_histogram)
-    _finish(p)
 
     p = sub.add_parser("channel", help="generate Doppler channel realizations to a binary file")
     _add_common(p)
@@ -303,7 +276,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_channel)
-    _finish(p)
 
     p = sub.add_parser("beamform", help="per-realization beamformer rates on Rayleigh draws")
     _add_common(p)
@@ -316,7 +288,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--opt-iterations", type=int, default=100)
     p.add_argument("--csv")
     p.set_defaults(handler=_cmd_beamform)
-    _finish(p)
 
     p = sub.add_parser("sweep", help="full beamformer comparison sweep to CSV/JSON")
     _add_common(p)
@@ -328,7 +299,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--json", help="also write the JSON mirror here")
     p.set_defaults(handler=_cmd_sweep)
-    _finish(p)
 
     return parser
 
@@ -337,24 +307,52 @@ def _subcommands(parser) -> dict:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _flag_dests(parser) -> set:
-    """Destinations of every flag of every subcommand.  One config file
-    may serve several subcommands, so any of them is a valid key."""
-    return {a.dest for p in _subcommands(parser).values() for a in p._actions if a.option_strings}
+def _config_keys(subparser) -> dict:
+    """Config key -> flag action: the flag's dest and its long name,
+    dashes as underscores (`time_bias` and `lambda` both name --lambda)."""
+    return {
+        name.lstrip("-").replace("-", "_"): action
+        for action in subparser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+        for name in (action.dest, *action.option_strings)
+    }
 
 
-def _config_choice_errors(parser, args, config: dict) -> list[str]:
-    """`key = value` for each config value the running subcommand holds
-    outside its flag's `choices`; `set_defaults` skips that check."""
-    errors = []
-    for action in _subcommands(parser)[args.command]._actions:
-        if action.choices is None or action.dest not in config:
+def _with_config(parser, argv: list, config: dict) -> list:
+    """`argv` with the running subcommand's config entries inserted as
+    flag tokens right after the subcommand name.  One config file may
+    serve several subcommands, so a key of another one is skipped."""
+    subcommands = _subcommands(parser)
+    unknown = sorted(set(config).difference(*(_config_keys(p) for p in subcommands.values())))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    at = next((i for i, token in enumerate(argv) if not token.startswith("-")), None)
+    if at is None or argv[at] not in subcommands:
+        return argv  # argparse reports the missing or unknown subcommand
+    keys = _config_keys(subcommands[argv[at]])
+    options = {flag for action in keys.values() for flag in action.option_strings}
+    given = set()
+    for token in argv[at + 1 :]:
+        name = token.split("=", 1)[0]
+        if name in options:
+            given.add(name)
+        else:  # argparse also takes a unique prefix of a long flag
+            hits = [flag for flag in options if name.startswith("--") and flag.startswith(name)]
+            if len(hits) == 1:
+                given.add(hits[0])
+    tokens = []
+    for key, value in config.items():
+        action = keys.get(key)
+        if action is None or given.intersection(action.option_strings):
             continue
-        value = getattr(args, action.dest)
-        for item in value if isinstance(value, list) else [value]:
-            if item not in action.choices:
-                errors.append(f"{action.dest} = {item!r} (choose from {', '.join(map(str, action.choices))})")
-    return errors
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")  # one token, so a value may start with '-'
+        elif value.lower() not in ("true", "false"):
+            raise ValueError(f"config key {key} is a switch: expected true or false, got {value!r}")
+        elif value.lower() == "true":
+            tokens.append(flag)
+    return [*argv[: at + 1], *tokens, *argv[at + 1 :]]
 
 
 def cli_dispatch(argv) -> int:
@@ -363,23 +361,16 @@ def cli_dispatch(argv) -> int:
     pre.add_argument("--config")
     try:
         known, _ = pre.parse_known_args(argv)
-        config = load_config_file(known.config) if known.config else None
-        parser = build_parser(config)
-        unknown = sorted(set(config or ()) - _flag_dests(parser))
-        if unknown:
-            print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
+        parser = build_parser()
+        if known.config:
+            argv = _with_config(parser, argv, load_config_file(known.config))
         args = parser.parse_args(argv)
-        bad = _config_choice_errors(parser, args, config or {})
-        if bad:
-            print(f"error: invalid config value(s): {'; '.join(bad)}", file=sys.stderr)
-            return 2
     except SystemExit as exc:  # argparse exits on usage errors (2) and on --help/--version (0)
         return int(exc.code or 0)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # a malformed config line
+    except ValueError as exc:  # a bad config entry
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

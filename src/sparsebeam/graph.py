@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .masks import GridSpec, SparseMaskSet, _pairs_to_csr, build_doppler_masks, global_stride
+from .masks import GridSpec, SparseMaskSet, _pairs_to_csr, build_doppler_masks, global_stride, head_geometry
 
 DEFAULT_BFS_CAP = 4096
 DEFAULT_SAMPLE_SOURCES = 1024
@@ -309,13 +309,19 @@ def connectivity_report(
     seed: int = 0,
     maskset: SparseMaskSet | None = None,
 ) -> ConnectivityReport:
-    """Build Doppler-aware masks for `grid` and measure their connectivity."""
+    """Measure the connectivity of the Doppler-aware masks of `grid`,
+    built here unless `maskset` (which must be of `grid`) is given."""
     if maskset is None:
         maskset = build_doppler_masks(grid)
+    if maskset.pattern_kind != "doppler_aware":
+        raise ValueError("connectivity report applies to doppler_aware masks")
+    if maskset.grid != grid:
+        raise ValueError(f"mask set grid {maskset.grid} differs from report grid {grid}")
     s = global_stride(grid.tokens, grid.heads)
     class_sizes = [int(c.size) for c in equivalence_classes(grid.tokens, s)]
     bridging = []
-    for geom in maskset.geometries[1:]:
+    for h in range(1, grid.heads):
+        geom = head_geometry(grid, h)
         step = effective_step(geom.stride_time, geom.stride_freq, grid.subcarriers)
         bridging.append(
             HeadBridging(

@@ -273,13 +273,12 @@ class SparseMaskSet:
     raise ValueError.
     """
 
-    def __init__(self, grid, pattern_kind, head_rows, geometries=None, causal=False):
+    def __init__(self, grid, pattern_kind, head_rows, causal=False):
         if pattern_kind not in (DOPPLER_AWARE, FIXED_STRIDED):
             raise ValueError(f"unknown pattern kind: {pattern_kind!r}")
         self.grid = grid
         self.pattern_kind = pattern_kind
         self.causal = bool(causal)
-        self.geometries = tuple(geometries) if geometries is not None else None
         self._heads = []
         for indptr, indices in head_rows:
             if np.asarray(indptr).dtype.kind not in "iu" or np.asarray(indices).dtype.kind not in "iu":
@@ -310,12 +309,12 @@ class SparseMaskSet:
         self._row_blocks = [None] * len(self._heads)
 
     @classmethod
-    def from_rows(cls, grid, pattern_kind, rows_per_head, geometries=None, causal=False):
+    def from_rows(cls, grid, pattern_kind, rows_per_head, causal=False):
         """Build from plain per-query index lists (used by tests and JSON)."""
         if any(len(rows) != grid.tokens for rows in rows_per_head):
             raise ValueError("need one row per query")
         head_rows = [_rows_to_csr(rows) for rows in rows_per_head]
-        return cls(grid, pattern_kind, head_rows, geometries=geometries, causal=causal)
+        return cls(grid, pattern_kind, head_rows, causal=causal)
 
     @property
     def head_count(self) -> int:
@@ -411,11 +410,7 @@ class SparseMaskSet:
         if [e["head"] for e in entries] != list(range(grid.heads)):
             raise ValueError(f"head indices must be exactly 0..{grid.heads - 1}")
         rows_per_head = [e["rows"] for e in entries]
-        kind = payload["grid"]["pattern"]
-        geoms = None
-        if kind == DOPPLER_AWARE:
-            geoms = [head_geometry(grid, h) for h in range(grid.heads)]
-        return cls.from_rows(grid, kind, rows_per_head, geometries=geoms, causal=payload.get("causal", False))
+        return cls.from_rows(grid, payload["grid"]["pattern"], rows_per_head, causal=payload.get("causal", False))
 
 
 def _check_token_cap(grid: GridSpec, max_tokens: int) -> None:
@@ -441,14 +436,13 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
     tokens = grid.tokens
     sym, sub = grid.symbols, grid.subcarriers
     s = global_stride(tokens, grid.heads)
-    geometries = [head_geometry(grid, h) for h in range(grid.heads)]
 
     # Global head: rows for queries in the same residue class are identical.
     members = [np.arange(r, tokens, s, dtype=np.int64) for r in range(s)]
     head_rows = [_rows_to_csr([members[i % s] for i in range(tokens)])]
 
     for h in range(1, grid.heads):
-        st, sf = geometries[h].stride_time, geometries[h].stride_freq
+        st, sf = head_strides(s, grid.time_bias, h)
         off_t, off_f = head_offsets(np.arange(tokens, dtype=np.int64), h, st, sf)
         lattice = {}
         for dt in np.unique(off_t):
@@ -458,7 +452,7 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
                 lattice[(int(dt), int(df))] = (t_vals[:, None] + f_vals[None, :]).ravel()
         head_rows.append(_rows_to_csr([lattice[(int(a), int(b))] for a, b in zip(off_t, off_f)]))
 
-    return SparseMaskSet(grid, DOPPLER_AWARE, head_rows, geometries=geometries)
+    return SparseMaskSet(grid, DOPPLER_AWARE, head_rows)
 
 
 def build_fixed_strided_masks(

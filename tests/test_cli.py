@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sparsebeam import SparseMaskSet, read_channel_file
-from sparsebeam.cli import cli_dispatch, load_config_file
+from sparsebeam.cli import _subcommands, build_parser, cli_dispatch, load_config_file
 
 
 class TestExitCodes:
@@ -28,6 +28,10 @@ class TestExitCodes:
 
     def test_missing_config_file_is_io_error(self):
         assert cli_dispatch(["masks", "--config", "/nonexistent/conf", "--L", "2", "--K", "2"]) == 3
+
+    @pytest.mark.parametrize("name", sorted(_subcommands(build_parser())))
+    def test_every_subcommand_help_exits_zero(self, capsys, name):
+        assert cli_dispatch([name, "--help"]) == 0
 
 
 class TestMasksCommand:
@@ -154,7 +158,7 @@ class TestConfigFile:
         conf = tmp_path / "c.conf"
         conf.write_text("alpha = 0.5\nname = hello\nflag = true\nn = 7\n")
         values = load_config_file(conf)
-        assert values == {"alpha": 0.5, "name": "hello", "flag": True, "n": 7}
+        assert values == {"alpha": "0.5", "name": "hello", "flag": "true", "n": "7"}
 
     def test_malformed_line_rejected(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -174,8 +178,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "command, body, named",
-        [(["masks", "--L", "2", "--K", "2"], "pattern = bogus\n", "pattern = 'bogus'"),
-         (["graph", "--L", "2", "--K", "3"], "mode = sideways\n", "mode = 'sideways'")],
+        [(["masks", "--L", "2", "--K", "2"], "pattern = bogus\n", "argument --pattern: invalid choice: 'bogus'"),
+         (["graph", "--L", "2", "--K", "3"], "mode = sideways\n", "argument --mode: invalid choice: 'sideways'")],
     )
     def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys, command, body, named):
         conf = tmp_path / "bad.conf"
@@ -194,3 +198,49 @@ class TestConfigFile:
         conf = tmp_path / "shared.conf"
         conf.write_text("L = 2\nK = 3\nsamples = 1\nv_min = 1.0\nopt_iterations = 5\n")
         assert cli_dispatch(["histogram", "--config", str(conf), "--quiet"]) == 0
+
+
+def _run_to_file(argv, out_flag, out):
+    """Exit code of `argv`, plus the output file's bytes on success."""
+    code = cli_dispatch([*argv, out_flag, str(out)] if out_flag else argv)
+    return code, out.read_bytes() if code == 0 and out_flag else None
+
+
+class TestConfigParsedLikeFlags:
+    """A config entry reaches argparse as the flag itself, so both paths
+    give the same exit code and, on success, the same output bytes."""
+
+    @pytest.mark.parametrize(
+        "command, entry, flags, out_flag, expected",
+        [
+            (["masks", "--K", "3"], "L = 2.5", ["--L", "2.5"], "--out", 2),
+            (["attn-check"], "trials = 2.0", ["--trials", "2.0"], None, 2),
+            (["sweep", "--realizations", "2", "--methods", "zf"], "snr_db = 5", ["--snr-db", "5"], "--out", 0),
+            (["masks", "--L", "2", "--K", "2"], "pattern = bogus", ["--pattern", "bogus"], "--out", 2),
+            (["graph", "--L", "2", "--K", "3"], "mode = sideways", ["--mode", "sideways"], "--report", 2),
+            (["masks", "--L", "2", "--K", "3"], "lambda = 4", ["--lambda", "4"], "--out", 0),
+            (["masks", "--L", "2", "--K", "3"], "time_bias = 4", ["--lambda", "4"], "--out", 0),
+            (["masks", "--L", "2", "--K", "3"], "heads = 0", ["--heads", "0"], "--out", 1),
+            (["beamform", "--realizations", "2"], "method = zf", ["--method", "zf"], "--csv", 0),
+            (["beamform", "--realizations", "2", "--method", "mmse"], "method = zf", [], "--csv", 0),
+            (["beamform", "--realizations", "2", "--meth", "mmse"], "method = zf", [], "--csv", 0),
+            (["masks", "--L", "2", "--K", "3"], "quiet = no", ["--quiet", "no"], "--out", 2),
+            (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = true", ["--causal"], "--out", 0),
+            (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = False", [], "--out", 0),
+        ],
+        ids=["int", "trials", "untyped", "pattern", "mode", "lambda", "time_bias", "range",
+             "append", "explicit-append-wins", "abbreviated-append-wins", "switch", "switch-true", "switch-false"],
+    )
+    def test_config_equals_flag(self, tmp_path, capsys, command, entry, flags, out_flag, expected):
+        conf = tmp_path / "run.conf"
+        conf.write_text(entry + "\n")
+        via_config = _run_to_file([*command, "--config", str(conf)], out_flag, tmp_path / "config.out")
+        config_err = capsys.readouterr().err
+        via_flag = _run_to_file([*command, *flags], out_flag, tmp_path / "flag.out")
+        assert via_config == via_flag
+        assert via_config[0] == expected
+        if expected == 0 and out_flag:
+            assert via_config[1]
+        if expected == 2:
+            key, value = (part.strip() for part in entry.split("="))
+            assert key in config_err and value in config_err

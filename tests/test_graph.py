@@ -11,6 +11,7 @@ from sparsebeam import (
     SparseMaskSet,
     bridging_condition,
     build_doppler_masks,
+    build_fixed_strided_masks,
     connectivity_report,
     effective_step,
     equivalence_classes,
@@ -215,3 +216,20 @@ class TestConnectivityReport:
         assert payload["heads"][0]["bridging_ok"] is True
         assert payload["hop_bound_satisfied"] == report.hop_bound_satisfied
         assert payload["class_sizes"] == report.class_sizes
+
+    def test_from_rows_copy_gives_same_report(self, canonical_grid, canonical_masks):
+        rows = [[canonical_masks.row(h, i) for i in range(canonical_masks.tokens)]
+                for h in range(canonical_masks.head_count)]
+        copy = SparseMaskSet.from_rows(canonical_grid, "doppler_aware", rows)
+        expected = connectivity_report(canonical_grid).to_json_dict()
+        assert connectivity_report(canonical_grid, maskset=copy).to_json_dict() == expected
+
+    def test_masks_of_another_grid_rejected(self, canonical_grid):
+        # same shape, other time bias: the strides would silently mix
+        other = build_doppler_masks(GridSpec(14, 48, heads=2, time_bias=4.0))
+        with pytest.raises(ValueError, match="differs"):
+            connectivity_report(canonical_grid, maskset=other)
+
+    def test_fixed_strided_masks_rejected(self, canonical_grid):
+        with pytest.raises(ValueError, match="doppler_aware"):
+            connectivity_report(canonical_grid, maskset=build_fixed_strided_masks(canonical_grid))
