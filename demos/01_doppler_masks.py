@@ -10,7 +10,7 @@ from sparsebeam import (
     build_doppler_masks,
     build_fixed_strided_masks,
     global_stride,
-    head_geometry,
+    head_strides,
     row_count_closedform,
 )
 
@@ -34,11 +34,11 @@ print()
 print("=== 2. A small grid you can read: 6 symbols x 8 subcarriers ===")
 grid = GridSpec(symbols=6, subcarriers=8, heads=2, time_bias=2.0)
 masks = build_doppler_masks(grid)
-geom = head_geometry(grid, 1)
-print(f"tokens {grid.tokens}, stride {geom.global_stride}, "
-      f"head-1 strides (time {geom.stride_time}, freq {geom.stride_freq})")
+s = global_stride(grid.tokens, grid.heads)
+stride_time, stride_freq = head_strides(s, grid.time_bias, 1)
+print(f"tokens {grid.tokens}, stride {s}, head-1 strides (time {stride_time}, freq {stride_freq})")
 query = grid.flat_index(2, 5)
-print(f"\nglobal head, query (2,5) -> attends its residue class mod {geom.global_stride}:")
+print(f"\nglobal head, query (2,5) -> attends its residue class mod {s}:")
 print(ascii_row(grid, masks, 0, query))
 print("\nhead 1, same query -> a 2D lattice ('@' marks the query on a key):")
 print(ascii_row(grid, masks, 1, query))

@@ -35,7 +35,6 @@ from .beamforming import (
 from .bench import SweepConfig, SweepPoint, SweepResult, export_report, load_report_json, run_sweep
 from .channel import (
     SPEED_OF_LIGHT,
-    ChannelBatch,
     DopplerConfig,
     OfdmConfig,
     add_estimation_error,
@@ -64,12 +63,10 @@ from .graph import (
 from .masks import (
     DEFAULT_TOKEN_CAP,
     GridSpec,
-    HeadGeometry,
     SparseMaskSet,
     build_doppler_masks,
     build_fixed_strided_masks,
     global_stride,
-    head_geometry,
     head_offsets,
     head_strides,
     row_count_closedform,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class SweepConfig:
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         bad = set(self.methods) - set(KNOWN_METHODS)
-        if bad or not self.methods:
-            raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}")
+        if bad or not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}, each named once")
 
 
 @dataclass
@@ -82,17 +82,7 @@ class SweepPoint:
     resampled: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "snr_db": self.snr_db,
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "mean_sum_rate": self.mean_sum_rate,
-            "stderr": self.stderr,
-            "realizations": self.realizations,
-            "per_ue_mean_sinr": list(self.per_ue_mean_sinr),
-            "resampled": self.resampled,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -125,11 +115,6 @@ class SweepResult:
             build=meta["build"],
             timestamp=meta["timestamp"],
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
 
 
 def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> np.ndarray:

@@ -100,18 +100,6 @@ class OfdmConfig:
         return p / p.sum()
 
 
-@dataclass
-class ChannelBatch:
-    """True channel per resource element, shape (symbols, subcarriers,
-    antennas, users); estimates come from `add_estimation_error`."""
-
-    true_channel: np.ndarray
-
-    @property
-    def shape(self):
-        return self.true_channel.shape
-
-
 def jakes_fading(doppler_hz: float, time_grid, seed, num_sinusoids: int = 32) -> np.ndarray:
     """Unit-power Clarke/Jakes fading sampled on `time_grid`.
 
@@ -185,14 +173,13 @@ def _generate_true(
     return np.einsum("nmpl,pk->lkmn", gains, weighted)
 
 
-def generate_channel(
-    ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, seed
-) -> ChannelBatch:
-    """One realization of the true channel over the whole slot grid."""
+def generate_channel(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, seed) -> np.ndarray:
+    """One realization of the true channel over the whole slot grid,
+    shape (symbols, subcarriers, antennas, users); estimates come from
+    `add_estimation_error`."""
     if antennas < 1 or users < 1:
         raise ValueError("antennas and users must be >= 1")
-    rng = np.random.default_rng(seed)
-    return ChannelBatch(true_channel=_generate_true(ofdm, doppler, antennas, users, rng))
+    return _generate_true(ofdm, doppler, antennas, users, np.random.default_rng(seed))
 
 
 def generate_channel_batch(

@@ -58,6 +58,22 @@ def _add_grid_args(parser):
     parser.add_argument("--lambda", dest="time_bias", type=float, default=2.0, help="time bias factor")
 
 
+def _snr_list(text: str) -> tuple:
+    """`--snr-db` value: comma-separated numbers, at least one."""
+    try:
+        return tuple(float(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _method_list(text: str) -> tuple:
+    """`--methods` value: comma-separated known methods, each named once."""
+    methods = tuple(text.split(","))
+    if not set(methods) <= set(KNOWN_METHODS) or len(set(methods)) < len(methods):
+        raise argparse.ArgumentTypeError(f"expected distinct methods among {','.join(KNOWN_METHODS)}, got {text!r}")
+    return methods
+
+
 def _grid_from(args) -> GridSpec:
     return GridSpec(symbols=args.L, subcarriers=args.K, heads=args.heads, time_bias=args.time_bias)
 
@@ -150,9 +166,9 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    ofdm = OfdmConfig(
+    ofdm = OfdmConfig.from_resource_blocks(
+        args.rb,
         symbols=args.symbols,
-        subcarriers=12 * args.rb,
         subcarrier_spacing_hz=args.subcarrier_spacing,
         tti_s=args.tti,
         num_taps=args.taps,
@@ -194,12 +210,12 @@ def _cmd_beamform(args) -> int:
 
 def _cmd_sweep(args) -> int:
     overrides = {}
-    if args.snr_db:
-        overrides["snr_db_list"] = tuple(float(x) for x in args.snr_db.split(","))
+    if args.snr_db is not None:
+        overrides["snr_db_list"] = args.snr_db
     if args.realizations is not None:
         overrides["realizations"] = args.realizations
-    if args.methods:
-        overrides["methods"] = tuple(args.methods.split(","))
+    if args.methods is not None:
+        overrides["methods"] = args.methods
     if args.est_snr_db is not None:
         overrides["est_snr_db"] = args.est_snr_db
     config = SweepConfig(
@@ -291,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full beamformer comparison sweep to CSV/JSON")
     _add_common(p)
-    p.add_argument("--snr-db", help="comma-separated SNR grid in dB")
+    p.add_argument("--snr-db", type=_snr_list, help="comma-separated SNR grid in dB")
     p.add_argument("--realizations", type=int)
-    p.add_argument("--methods", help="comma-separated subset of zf,mmse,opt")
+    p.add_argument("--methods", type=_method_list, help="comma-separated subset of zf,mmse,opt")
     p.add_argument("--est-snr-db", type=float)
     p.add_argument("--opt-iterations", type=int, default=100)
     p.add_argument("--out", default="sweep.csv")

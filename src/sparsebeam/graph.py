@@ -17,12 +17,12 @@ peak working set beyond the bit matrix itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .masks import GridSpec, SparseMaskSet, _pairs_to_csr, build_doppler_masks, global_stride, head_geometry
+from .masks import DOPPLER_AWARE, GridSpec, SparseMaskSet, _pairs_to_csr, build_doppler_masks, global_stride, head_strides
 
 DEFAULT_BFS_CAP = 4096
 DEFAULT_SAMPLE_SOURCES = 1024
@@ -54,8 +54,8 @@ def verify_partition(maskset: SparseMaskSet) -> PartitionCheck:
     an extra edge is an inter-class witness, a missing one an
     incomplete-subgraph witness.
     """
-    if maskset.pattern_kind != "doppler_aware":
-        raise ValueError("partition check applies to doppler_aware masks")
+    if maskset.pattern_kind != DOPPLER_AWARE:
+        raise ValueError(f"partition check applies to {DOPPLER_AWARE} masks")
     tokens = maskset.tokens
     s = global_stride(tokens, maskset.grid.heads)
     classes = equivalence_classes(tokens, s)
@@ -241,13 +241,7 @@ class HeadBridging:
     bridging_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "head": self.head,
-            "stride_time": self.stride_time,
-            "stride_freq": self.stride_freq,
-            "effective_step": self.effective_step,
-            "bridging_ok": self.bridging_ok,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -313,25 +307,17 @@ def connectivity_report(
     built here unless `maskset` (which must be of `grid`) is given."""
     if maskset is None:
         maskset = build_doppler_masks(grid)
-    if maskset.pattern_kind != "doppler_aware":
-        raise ValueError("connectivity report applies to doppler_aware masks")
+    if maskset.pattern_kind != DOPPLER_AWARE:
+        raise ValueError(f"connectivity report applies to {DOPPLER_AWARE} masks")
     if maskset.grid != grid:
         raise ValueError(f"mask set grid {maskset.grid} differs from report grid {grid}")
     s = global_stride(grid.tokens, grid.heads)
     class_sizes = [int(c.size) for c in equivalence_classes(grid.tokens, s)]
     bridging = []
     for h in range(1, grid.heads):
-        geom = head_geometry(grid, h)
-        step = effective_step(geom.stride_time, geom.stride_freq, grid.subcarriers)
-        bridging.append(
-            HeadBridging(
-                head=geom.head,
-                stride_time=geom.stride_time,
-                stride_freq=geom.stride_freq,
-                effective_step=step,
-                bridging_ok=bridging_condition(step, s),
-            )
-        )
+        st, sf = head_strides(s, grid.time_bias, h)
+        step = effective_step(st, sf, grid.subcarriers)
+        bridging.append(HeadBridging(h, st, sf, step, bridging_condition(step, s)))
     directed = hop_diameter(maskset, "directed", bfs_cap=bfs_cap, sample=sample, seed=seed)
     undirected = hop_diameter(maskset, "undirected", bfs_cap=bfs_cap, sample=sample, seed=seed)
     hop_bound = undirected.diameter is not None and undirected.diameter <= grid.heads

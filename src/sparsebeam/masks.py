@@ -92,28 +92,6 @@ class GridSpec:
         return cls(symbols=payload["L"], subcarriers=payload["K"], heads=payload["p"], time_bias=float(lam))
 
 
-@dataclass(frozen=True)
-class HeadGeometry:
-    """Stride layout of one attention head.
-
-    For the global head (index 0) the 2D strides are not used; the head
-    attends residue classes of the flattened index modulo
-    ``global_stride``.
-    """
-
-    head: int
-    stride_time: int
-    stride_freq: int
-    is_global: bool
-    global_stride: int
-
-    def __post_init__(self):
-        if self.is_global != (self.head == 0):
-            raise ValueError("head 0 and only head 0 is global")
-        if self.stride_time < 1 or self.stride_freq < 1 or self.global_stride < 1:
-            raise ValueError("strides must be >= 1")
-
-
 def _rows_to_csr(rows):
     """CSR (indptr, indices) of per-query key rows, packed in row order."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -250,17 +228,6 @@ def head_offsets(query, head: int, stride_time: int, stride_freq: int) -> tuple:
     off_time = (2 * head + query % stride_time) % stride_time
     off_freq = (3 * head + query % stride_freq) % stride_freq
     return off_time, off_freq
-
-
-def head_geometry(grid: GridSpec, head: int) -> HeadGeometry:
-    """Resolved stride layout of one head of a Doppler-aware mask set."""
-    if not (0 <= head < grid.heads):
-        raise ValueError("head index out of range")
-    s = global_stride(grid.tokens, grid.heads)
-    if head == 0:
-        return HeadGeometry(head=0, stride_time=1, stride_freq=1, is_global=True, global_stride=s)
-    st, sf = head_strides(s, grid.time_bias, head)
-    return HeadGeometry(head=head, stride_time=st, stride_freq=sf, is_global=False, global_stride=s)
 
 
 class SparseMaskSet:

@@ -1,12 +1,24 @@
 """Sweep harness: determinism, aggregation arithmetic, export formats,
 and the batched cell engine against the scalar per-realization protocol."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from reference import sweep_points_reference
 
-from sparsebeam import OptimizerConfig, SweepConfig, bench, export_report, load_report_json, run_sweep, sweep_optimizer_config
+from sparsebeam import (
+    OptimizerConfig,
+    SparseMaskSet,
+    SweepConfig,
+    bench,
+    export_report,
+    graph,
+    load_report_json,
+    run_sweep,
+    sweep_optimizer_config,
+)
 from sparsebeam.bench import CSV_HEADER, SweepResult
 
 
@@ -34,6 +46,12 @@ class TestRunSweep:
         again = run_sweep(SMALL, timestamp="1970-01-01T00:00:00+00:00")
         assert again == small_result
 
+    def test_equality_sees_timestamp_and_rates(self, small_result):
+        assert dataclasses.replace(small_result, timestamp="t") != small_result
+        points = list(small_result.points)
+        points[1] = dataclasses.replace(points[1], mean_sum_rate=points[1].mean_sum_rate + 1e-12)
+        assert dataclasses.replace(small_result, points=points) != small_result
+
     def test_mmse_at_least_zf_low_snr(self, small_result):
         by_key = {(p.method, p.snr_db): p for p in small_result.points}
         assert by_key[("mmse", 0.0)].mean_sum_rate >= by_key[("zf", 0.0)].mean_sum_rate - 3 * by_key[("zf", 0.0)].stderr
@@ -56,6 +74,10 @@ class TestRunSweep:
         result = run_sweep(cfg, timestamp="t")
         by_method = {p.method: p.mean_sum_rate for p in result.points}
         assert by_method["opt"] >= by_method["zf"] - 1e-3
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="once"):
+            SweepConfig(methods=("zf", "zf"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -161,3 +183,26 @@ class TestExportReport:
         payload = small_result.to_json_dict()["metadata"]
         assert payload["seed"] == 123
         assert payload["version"] and payload["build"]
+
+
+class TestBenchmarkContract:
+    """perfbench's tracer patches names of `bench`, `graph` and
+    `SparseMaskSet`; installing it fails if one of them is gone."""
+
+    def test_tracer_installs_and_restores(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+        import workloads  # noqa: F401  (imports every sparsebeam name the workloads use)
+
+        owners = (bench, graph, SparseMaskSet)
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            patched = list(tracer._saved)
+        finally:
+            tracer.uninstall()
+        assert {owner for owner, _, _ in patched} == set(owners)
+        for owner, saved in zip(owners, before):
+            assert vars(owner).keys() == saved.keys()
+            assert all(vars(owner)[name] is value for name, value in saved.items()), owner

@@ -108,6 +108,10 @@ class TestChannelCommand:
         assert batch.shape == (3, 2, 12, 2, 1)
         assert meta["seed"] == 5
 
+    def test_zero_resource_blocks_rejected(self, tmp_path, capsys):
+        assert cli_dispatch(["channel", "--rb", "0", "--out", str(tmp_path / "c.bin"), "--quiet"]) == 1
+        assert "need at least one resource block" in capsys.readouterr().err
+
 
 class TestBeamformCommand:
     def test_csv_columns(self, tmp_path):
@@ -227,9 +231,16 @@ class TestConfigParsedLikeFlags:
             (["masks", "--L", "2", "--K", "3"], "quiet = no", ["--quiet", "no"], "--out", 2),
             (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = true", ["--causal"], "--out", 0),
             (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = False", [], "--out", 0),
+            (["sweep", "--realizations", "2", "--methods", "zf"], "snr-db = 1,abc", ["--snr-db", "1,abc"], "--out", 2),
+            (["sweep", "--realizations", "2", "--methods", "zf"], "snr-db =", ["--snr-db", ""], "--out", 2),
+            (["sweep", "--realizations", "2", "--snr-db", "5"], "methods = zf,bogus", ["--methods", "zf,bogus"], "--out", 2),
+            (["sweep", "--realizations", "2", "--snr-db", "5"], "methods =", ["--methods", ""], "--out", 2),
+            (["sweep", "--realizations", "2", "--snr-db", "5"], "methods = zf,zf", ["--methods", "zf,zf"], "--out", 2),
         ],
         ids=["int", "trials", "untyped", "pattern", "mode", "lambda", "time_bias", "range",
-             "append", "explicit-append-wins", "abbreviated-append-wins", "switch", "switch-true", "switch-false"],
+             "append", "explicit-append-wins", "abbreviated-append-wins", "switch", "switch-true", "switch-false",
+             "snr-list-not-numbers", "snr-list-empty", "method-list-unknown", "method-list-empty",
+             "method-list-repeated"],
     )
     def test_config_equals_flag(self, tmp_path, capsys, command, entry, flags, out_flag, expected):
         conf = tmp_path / "run.conf"

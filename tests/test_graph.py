@@ -214,6 +214,9 @@ class TestConnectivityReport:
         assert payload["undirected_diameter"] == report.undirected.diameter
         assert payload["directed_diameter"] == report.directed.diameter
         assert payload["heads"][0]["bridging_ok"] is True
+        assert payload["heads"] == [
+            {"head": 1, "stride_time": 2, "stride_freq": 13, "effective_step": 1, "bridging_ok": True}
+        ]
         assert payload["hop_bound_satisfied"] == report.hop_bound_satisfied
         assert payload["class_sizes"] == report.class_sizes
 

@@ -15,7 +15,6 @@ from sparsebeam import (
     build_doppler_masks,
     build_fixed_strided_masks,
     global_stride,
-    head_geometry,
     head_offsets,
     head_strides,
     row_count_closedform,
@@ -286,10 +285,9 @@ class TestGridSpec:
                 GridSpec(**bad)
 
     def test_geometry_constraints(self, canonical_grid):
-        geom = head_geometry(canonical_grid, 0)
-        assert geom.is_global and geom.global_stride == 26
-        geom1 = head_geometry(canonical_grid, 1)
-        assert (geom1.stride_time, geom1.stride_freq) == (2, 13)
+        s = global_stride(canonical_grid.tokens, canonical_grid.heads)
+        assert s == 26
+        assert head_strides(s, canonical_grid.time_bias, 1) == (2, 13)
 
 
 class TestMaskJson:
