@@ -20,6 +20,8 @@ import numpy as np
 
 from .masks import RowBlocks, SparseMaskSet
 
+_GRADIENT_CHECK_STEP = 1e-5
+
 
 @dataclass
 class EmbeddingBlock:
@@ -208,9 +210,9 @@ def _loss_and_gradients(block: EmbeddingBlock, masks: SparseMaskSet):
     return (float((out**2).sum()), *sparse_attention_backward(block, masks, 2.0 * out))
 
 
-def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet, step: float = 1e-5) -> float:
+def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet) -> float:
     """Max relative error between backprop and central-difference
-    gradients of the sum-of-squares output loss.
+    gradients (step 1e-5) of the sum-of-squares output loss.
 
     Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
     Intended for desk-scale blocks (tokens <= 64, model_dim <= 16).
@@ -232,12 +234,12 @@ def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet, step: float = 1e
         flat = arr.reshape(-1)
         for pos in range(flat.size):
             orig = flat[pos]
-            flat[pos] = orig + step
+            flat[pos] = orig + _GRADIENT_CHECK_STEP
             up = loss_of(*arrays)
-            flat[pos] = orig - step
+            flat[pos] = orig - _GRADIENT_CHECK_STEP
             down = loss_of(*arrays)
             flat[pos] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _GRADIENT_CHECK_STEP)
             analytic = grad.ravel()[pos]
             denom = max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)

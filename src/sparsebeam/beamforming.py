@@ -16,7 +16,7 @@ the result its 2D slice would get on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .errors import SingularChannelError
 
 _GRAM_COND_LIMIT = 1e12
 _ROW_NORM_SLACK = 1e-12
+_FD_STEP = 1e-6
+_LOOKAHEAD_EVERY = 13
+_LOOKAHEAD_COEFF = 0.5
 
 LOG2 = np.log(2.0)
 
@@ -46,8 +49,8 @@ def mmse_combiner(channel_est, noise_power: float) -> np.ndarray:
     `SingularChannelError` marks the offending entries in `.singular`.
     """
     h = _as_channel(channel_est)
-    if noise_power < 0:
-        raise ValueError("noise power must be >= 0")
+    if not (0 <= noise_power < math.inf):
+        raise ValueError("noise power must be finite and >= 0")
     antennas, users = h.shape[-2:]
     h_herm = h.conj().swapaxes(-1, -2)
     gram = h_herm @ h + noise_power * np.eye(users)
@@ -103,8 +106,8 @@ def sinr(combiner, channel, noise_power: float) -> np.ndarray:
     """
     w = np.asarray(combiner, dtype=np.complex128)
     h = _as_channel(channel)
-    if noise_power < 0:
-        raise ValueError("noise power must be >= 0")
+    if not (0 <= noise_power < math.inf):
+        raise ValueError("noise power must be finite and >= 0")
     if w.shape != h.shape[:-2] + (h.shape[-1], h.shape[-2]):
         raise ValueError("combiner must be (users x antennas) matching the channel")
     _, _, desired, denom, gammas = _sinr_parts(w, h, noise_power)
@@ -194,40 +197,29 @@ def sum_rate_gradient(combiner, channel, noise_power: float, weights=None) -> np
     w = np.asarray(combiner, dtype=np.complex128)
     h = _as_channel(channel)
     alpha = _check_weights(weights, h.shape[-1])
-    if noise_power <= 0:
-        raise ValueError("gradient needs noise power > 0")
+    if not (0 < noise_power < math.inf):
+        raise ValueError("gradient needs a finite noise power > 0")
     return _rate_and_gradient(w, h, noise_power, alpha)[1]
 
 
-def finite_difference_gradient(combiner, channel, noise_power, weights=None, step: float = 1e-6) -> np.ndarray:
+def finite_difference_gradient(combiner, channel, noise_power, weights=None) -> np.ndarray:
     """Central-difference gradient of `sum_rate` over the 2*users*antennas
-    real parameters, packed like `sum_rate_gradient`; on a stack, every
-    entry's parameter is bumped at once."""
+    real parameters (step 1e-6), packed like `sum_rate_gradient`; on a
+    stack, every entry's parameter is bumped at once."""
     w = np.asarray(combiner, dtype=np.complex128).copy()
     grad = np.zeros_like(w)
     for k in range(w.shape[-2]):
         for m in range(w.shape[-1]):
             for part, bump in ((1.0, 1.0), (1.0j, 1.0j)):
                 orig = w[..., k, m].copy()
-                w[..., k, m] = orig + step * bump
+                w[..., k, m] = orig + _FD_STEP * bump
                 up = sum_rate(w, channel, noise_power, weights)
-                w[..., k, m] = orig - step * bump
+                w[..., k, m] = orig - _FD_STEP * bump
                 down = sum_rate(w, channel, noise_power, weights)
                 w[..., k, m] = orig
-                slope = (up - down) / (2.0 * step)
+                slope = (up - down) / (2.0 * _FD_STEP)
                 grad[..., k, m] += slope * part
     return grad
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each last-axis vector onto the probability simplex."""
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1)
-    n = v.shape[-1]
-    above = u * np.arange(1, n + 1) > (css - 1.0)
-    rho = n - 1 - np.argmax(above[..., ::-1], axis=-1)[..., None]  # last index where `above` holds
-    theta = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -236,35 +228,26 @@ class OptimizerConfig:
 
     gradient "fd" recomputes central differences each step (slow, exact
     contract); "analytic" uses the closed-form gradient, which the test
-    suite checks against finite differences.  Every `lookahead_every`
-    steps (0: never) the slow weights absorb the fast iterate with
-    coefficient `lookahead_coeff` and the fast iterate restarts there.
+    suite checks against finite differences.
     """
 
     step_size: float = 0.05
     iterations: int = 300
-    lookahead_every: int = 13
-    lookahead_coeff: float = 0.5
     gradient: str = "fd"
-    fd_step: float = 1e-6
-    optimize_weights: bool = False
 
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
             raise ValueError("gradient must be 'fd' or 'analytic'")
-        if not (0.0 <= self.lookahead_coeff <= 1.0):
-            raise ValueError("lookahead coefficient must be in [0, 1]")
-        if self.iterations < 0 or self.lookahead_every < 0:
-            raise ValueError("iterations and lookahead_every must be >= 0")
-        if not all(math.isfinite(x) and x > 0 for x in (self.step_size, self.fd_step)):
-            raise ValueError("step size and finite-difference step must be finite and > 0")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step size must be finite and > 0")
 
 
 @dataclass
 class OptimizeResult:
     combiner: np.ndarray
     trace: np.ndarray  # best-so-far rate per iteration (monotone) on the last axis
-    weights: np.ndarray
 
     @property
     def rate(self):
@@ -279,10 +262,9 @@ def optimize_sum_rate(
     noise_power: float,
     config: OptimizerConfig | None = None,
     initial=None,
-    weights=None,
 ) -> OptimizeResult:
-    """Directly maximize the weighted sum rate over the combiner, for one
-    channel matrix or a stack (..., antennas, users) in one ascent loop.
+    """Directly maximize the sum rate over the combiner, for one channel
+    matrix or a stack (..., antennas, users) in one ascent loop.
 
     Projected gradient ascent starting from the power-projected MMSE
     combiner of the channel estimate; the objective is evaluated
@@ -290,12 +272,11 @@ def optimize_sum_rate(
     the role the training loss plays for a learned beamformer.  The
     returned trace is the best rate seen up to each iteration and is
     non-decreasing by construction.  Every stack entry keeps its own
-    best iterate, weights and trace, exactly as if it ran alone.
+    best iterate and trace, exactly as if it ran alone.  Lookahead runs
+    every 13 steps with coefficient 0.5.
 
     `initial` overrides the starting combiner (a random start is
-    `power_project` of a seeded draw) and `weights` the uniform user
-    weights; both broadcast over the stack.  `config.optimize_weights`
-    co-optimizes the user weights on the probability simplex.
+    `power_project` of a seeded draw) and broadcasts over the stack.
     """
     cfg = config or OptimizerConfig()
     h_est = _as_channel(channel_est)
@@ -305,46 +286,41 @@ def optimize_sum_rate(
     antennas, users = h_true.shape[-2:]
     if antennas > 16 or users > 4:
         raise ValueError("optimizer is desk-scale: antennas <= 16, users <= 4")
-    if noise_power <= 0:
-        raise ValueError("optimization needs noise power > 0")
+    if not (0 < noise_power < math.inf):
+        raise ValueError("optimization needs a finite noise power > 0")
     stack = h_true.shape[:-2]
-    alpha = _check_weights(weights, users)
-    best_alpha = np.broadcast_to(alpha, stack + (users,))
     if initial is None:
         fast = power_project(mmse_combiner(h_est, noise_power))
     else:
         start = np.broadcast_to(np.asarray(initial, dtype=np.complex128), stack + (users, antennas))
         fast = power_project(np.ascontiguousarray(start))
     slow = fast
+    uniform = np.full(users, 1.0 / users)
 
-    def rate_and_gradient(w, a):
+    def rate_and_gradient(w):
         if cfg.gradient == "analytic":
-            return _rate_and_gradient(w, h_true, noise_power, a)
-        return sum_rate(w, h_true, noise_power, a), None  # the gradient is taken when stepping
+            return _rate_and_gradient(w, h_true, noise_power, uniform)
+        return sum_rate(w, h_true, noise_power), None  # the gradient is taken when stepping
 
-    best_rate, grad = rate_and_gradient(fast, alpha)
+    best_rate, grad = rate_and_gradient(fast)
     best_w = fast
     trace = [best_rate]
     for step in range(1, cfg.iterations + 1):
         if grad is None:
-            grad = finite_difference_gradient(fast, h_true, noise_power, alpha, step=cfg.fd_step)
+            grad = finite_difference_gradient(fast, h_true, noise_power)
         fast = power_project(fast + cfg.step_size * grad)
-        if cfg.optimize_weights:
-            gammas = sinr(fast, h_true, noise_power)
-            alpha = _project_simplex(alpha + cfg.step_size * np.log1p(gammas) / LOG2)
-        if cfg.lookahead_every and step % cfg.lookahead_every == 0:
-            slow = lookahead_update(slow, fast, cfg.lookahead_coeff)
+        if step % _LOOKAHEAD_EVERY == 0:
+            slow = lookahead_update(slow, fast, _LOOKAHEAD_COEFF)
             fast = slow.copy()
-        current, grad = rate_and_gradient(fast, alpha)
+        current, grad = rate_and_gradient(fast)
         better = np.asarray(current > best_rate)
         best_rate = np.where(better, current, best_rate)
         best_w = np.where(better[..., None, None], fast, best_w)
-        best_alpha = np.where(better[..., None], alpha, best_alpha)
         trace.append(best_rate)
-    return OptimizeResult(combiner=np.array(best_w), trace=np.stack(trace, axis=-1), weights=np.array(best_alpha))
+    return OptimizeResult(combiner=np.array(best_w), trace=np.stack(trace, axis=-1))
 
 
 def sweep_optimizer_config(iterations: int = 100) -> OptimizerConfig:
     """Optimizer settings used by the benchmark sweep: analytic gradient
     for tractable batch sizes, otherwise the standard defaults."""
-    return replace(OptimizerConfig(), gradient="analytic", iterations=iterations)
+    return OptimizerConfig(iterations=iterations, gradient="analytic")

@@ -44,7 +44,8 @@ _RESAMPLE_BUDGET = 1e-3  # singular draws must stay under 0.1% of attempts
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Axes and fixed parameters of a beamformer comparison sweep."""
+    """Axes and fixed parameters of a beamformer comparison sweep; every
+    cell draws the default `OfdmConfig` slot and `DopplerConfig` fading."""
 
     snr_db_list: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     velocity_ranges: tuple = ((0.0, 10.0), (30.0, 40.0))
@@ -54,14 +55,13 @@ class SweepConfig:
     est_snr_db: float = math.inf
     methods: tuple = KNOWN_METHODS
     seed: int = 0
-    carrier_hz: float = 2.6e9
-    num_sinusoids: int = 32
-    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
     optimizer: OptimizerConfig = field(default_factory=lambda: sweep_optimizer_config())
 
     def __post_init__(self):
         if not self.snr_db_list or not self.velocity_ranges:
             raise ValueError("need at least one SNR point and one velocity range")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise ValueError("SNR points must be finite")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         bad = set(self.methods) - set(KNOWN_METHODS)
@@ -142,12 +142,8 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
     entry that is singular for any method is redrawn at the next
     attempt, the others keep their results.
     """
-    ofdm = config.ofdm
-    doppler = DopplerConfig(
-        carrier_hz=config.carrier_hz,
-        velocity_mps=velocity_range,
-        num_sinusoids=config.num_sinusoids,
-    )
+    ofdm = OfdmConfig()
+    doppler = DopplerConfig(velocity_mps=velocity_range)
     # the pilot (first symbol) and the target (last symbol), centre subcarrier
     points = ((0, ofdm.symbols - 1), (ofdm.subcarriers // 2,))
     shape = (config.realizations, config.rx_antennas, config.users)

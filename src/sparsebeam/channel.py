@@ -10,6 +10,7 @@ given a seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -23,10 +24,10 @@ CHANNEL_FILE_VERSION = 1
 
 def max_doppler(velocity_mps: float, carrier_hz: float) -> float:
     """Maximum Doppler shift velocity * carrier / c in Hz."""
-    if velocity_mps < 0:
-        raise ValueError("velocity must be >= 0")
-    if carrier_hz <= 0:
-        raise ValueError("carrier frequency must be > 0")
+    if not (0 <= velocity_mps < math.inf):
+        raise ValueError("velocity must be finite and >= 0")
+    if not (0 < carrier_hz < math.inf):
+        raise ValueError("carrier frequency must be finite and > 0")
     return velocity_mps * carrier_hz / SPEED_OF_LIGHT
 
 
@@ -40,13 +41,13 @@ class DopplerConfig:
     num_sinusoids: int = 32
 
     def __post_init__(self):
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier frequency must be > 0")
+        if not (0 < self.carrier_hz < math.inf):
+            raise ValueError("carrier frequency must be finite and > 0")
         if self.num_sinusoids < 8:
             raise ValueError("need at least 8 sinusoid components")
         lo, hi = self.velocity_bounds
-        if lo < 0 or hi < lo:
-            raise ValueError("velocity range must satisfy 0 <= lo <= hi")
+        if not (0 <= lo <= hi < math.inf):
+            raise ValueError("velocity range must be finite with 0 <= lo <= hi")
 
     @property
     def velocity_bounds(self) -> tuple[float, float]:

@@ -86,6 +86,8 @@ def _say(args, message):
 def _cmd_masks(args) -> int:
     grid = _grid_from(args)
     if args.pattern == "doppler":
+        if args.causal:
+            raise ValueError("--causal applies to --pattern fixed only")
         masks = build_doppler_masks(grid, max_tokens=args.max_tokens)
     else:
         masks = build_fixed_strided_masks(grid, causal=args.causal, max_tokens=args.max_tokens)

@@ -198,6 +198,8 @@ def hop_diameter(
     """
     if mode not in ("directed", "undirected"):
         raise ValueError("mode must be 'directed' or 'undirected'")
+    if sample_sources < 1:
+        raise ValueError("sample_sources must be >= 1")
     tokens = maskset.tokens
     if tokens > bfs_cap and not sample:
         raise ResourceLimitError(
@@ -298,13 +300,13 @@ class ConnectivityReport:
 
 def connectivity_report(
     grid: GridSpec,
-    bfs_cap: int = DEFAULT_BFS_CAP,
     sample: bool = False,
     seed: int = 0,
     maskset: SparseMaskSet | None = None,
 ) -> ConnectivityReport:
     """Measure the connectivity of the Doppler-aware masks of `grid`,
-    built here unless `maskset` (which must be of `grid`) is given."""
+    built here unless `maskset` (which must be of `grid`) is given.
+    Above DEFAULT_BFS_CAP tokens `sample` is required (see `hop_diameter`)."""
     if maskset is None:
         maskset = build_doppler_masks(grid)
     if maskset.pattern_kind != DOPPLER_AWARE:
@@ -318,8 +320,8 @@ def connectivity_report(
         st, sf = head_strides(s, grid.time_bias, h)
         step = effective_step(st, sf, grid.subcarriers)
         bridging.append(HeadBridging(h, st, sf, step, bridging_condition(step, s)))
-    directed = hop_diameter(maskset, "directed", bfs_cap=bfs_cap, sample=sample, seed=seed)
-    undirected = hop_diameter(maskset, "undirected", bfs_cap=bfs_cap, sample=sample, seed=seed)
+    directed = hop_diameter(maskset, "directed", sample=sample, seed=seed)
+    undirected = hop_diameter(maskset, "undirected", sample=sample, seed=seed)
     hop_bound = undirected.diameter is not None and undirected.diameter <= grid.heads
     return ConnectivityReport(
         grid=grid,

@@ -104,56 +104,48 @@ def softmax_rows_reference(scores, allowed):
     return weights
 
 
-def optimize_reference(channel_est, channel_true, noise_power, config, initial=None, weights=None):
+def optimize_reference(channel_est, channel_true, noise_power, config, initial=None):
     """`optimize_sum_rate` on one channel matrix by the literal per-matrix
     ascent loop: start from `initial` or the projected MMSE combiner of
-    the estimate, step, project, optionally update the weights and
-    absorb the lookahead, and keep the best iterate seen."""
+    the estimate, step, project, absorb the lookahead (every 13 steps,
+    coefficient 0.5), and keep the best iterate seen."""
     from sparsebeam.beamforming import (
-        LOG2,
         OptimizeResult,
-        _project_simplex,
         _rate_and_gradient,
         finite_difference_gradient,
         lookahead_update,
         mmse_combiner,
         power_project,
-        sinr,
         sum_rate,
     )
 
     h_true = np.asarray(channel_true, dtype=np.complex128)
     users = h_true.shape[1]
-    alpha = np.full(users, 1.0 / users) if weights is None else np.asarray(weights, dtype=np.float64)
+    alpha = np.full(users, 1.0 / users)
     if initial is not None:
         fast = power_project(np.asarray(initial, dtype=np.complex128))
     else:
         fast = power_project(mmse_combiner(channel_est, noise_power))
     slow = fast.copy()
 
-    best_rate = sum_rate(fast, h_true, noise_power, alpha)
+    best_rate = sum_rate(fast, h_true, noise_power)
     best_w = fast.copy()
-    best_alpha = alpha.copy()
     trace = [best_rate]
     for step in range(1, config.iterations + 1):
         if config.gradient == "analytic":
             grad = _rate_and_gradient(fast, h_true, noise_power, alpha)[1]
         else:
-            grad = finite_difference_gradient(fast, h_true, noise_power, alpha, step=config.fd_step)
+            grad = finite_difference_gradient(fast, h_true, noise_power)
         fast = power_project(fast + config.step_size * grad)
-        if config.optimize_weights:
-            gammas = sinr(fast, h_true, noise_power)
-            alpha = _project_simplex(alpha + config.step_size * np.log1p(gammas) / LOG2)
-        if config.lookahead_every and step % config.lookahead_every == 0:
-            slow = lookahead_update(slow, fast, config.lookahead_coeff)
+        if step % 13 == 0:
+            slow = lookahead_update(slow, fast, 0.5)
             fast = slow.copy()
-        current = sum_rate(fast, h_true, noise_power, alpha)
+        current = sum_rate(fast, h_true, noise_power)
         if current > best_rate:
             best_rate = current
             best_w = fast.copy()
-            best_alpha = alpha.copy()
         trace.append(best_rate)
-    return OptimizeResult(combiner=best_w, trace=np.asarray(trace), weights=best_alpha)
+    return OptimizeResult(combiner=best_w, trace=np.asarray(trace))
 
 
 def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
@@ -162,19 +154,18 @@ def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
     derived seed and returns the resample count."""
     from sparsebeam import bench
     from sparsebeam.beamforming import mmse_combiner, power_project, sinr, sum_rate, zf_combiner
-    from sparsebeam.channel import DopplerConfig, add_estimation_error
+    from sparsebeam.channel import DopplerConfig, OfdmConfig, add_estimation_error
     from sparsebeam.errors import SingularChannelError
 
-    sub_mid = config.ofdm.subcarriers // 2
-    doppler = DopplerConfig(
-        carrier_hz=config.carrier_hz, velocity_mps=velocity_range, num_sinusoids=config.num_sinusoids
-    )
+    ofdm = OfdmConfig()
+    sub_mid = ofdm.subcarriers // 2
+    doppler = DopplerConfig(velocity_mps=velocity_range)
     resampled = 0
     for attempt in range(64):
         draw_seed = (config.seed, *point_key, realization, attempt)
         rng = np.random.default_rng(draw_seed)
         # looked up on the module so that a test can wrap the draw
-        grid = bench._generate_true(config.ofdm, doppler, config.rx_antennas, config.users, rng)
+        grid = bench._generate_true(ofdm, doppler, config.rx_antennas, config.users, rng)
         pilot = grid[0, sub_mid]
         target = grid[-1, sub_mid]
         estimate = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))

@@ -217,6 +217,22 @@ class TestGradient:
             sum_rate_gradient(mmse_combiner(h, 0.1), h, 0.0)
 
 
+class TestNoisePower:
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_nonfinite_noise_rejected(self, noise):
+        h = rayleigh(4, 2, 0)
+        w = power_project(zf_combiner(h))
+        calls = (
+            lambda: mmse_combiner(h, noise),
+            lambda: sinr(w, h, noise),
+            lambda: sum_rate_gradient(w, h, noise),
+            lambda: optimize_sum_rate(h, h, noise, OptimizerConfig(iterations=1)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
 class TestOptimizer:
     def test_single_user_hits_matched_filter_bound(self):
         sigma2 = 0.1
@@ -279,28 +295,13 @@ class TestOptimizer:
         result = optimize_sum_rate(est, h, sigma2, OptimizerConfig(iterations=300, gradient="analytic", step_size=0.1))
         assert result.rate > start + 0.1
 
-    def test_weight_cooptimization_favors_strong_user(self):
-        rng = np.random.default_rng(30)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        h = q[:, :2] * np.array([3.0, 0.1])
-        cfg = OptimizerConfig(iterations=200, gradient="analytic", optimize_weights=True)
-        result = optimize_sum_rate(h, h, 0.5, cfg)
-        uniform = optimize_sum_rate(h, h, 0.5, OptimizerConfig(iterations=200, gradient="analytic"))
-        assert result.weights[0] > 0.9
-        assert result.rate >= uniform.rate - 1e-9
-
     def test_config_validation(self):
         for bad in (
             dict(gradient="exact"),
-            dict(lookahead_coeff=1.5),
             dict(iterations=-1),
-            dict(lookahead_every=-1),
             dict(step_size=0.0),
             dict(step_size=float("nan")),
             dict(step_size=float("inf")),
-            dict(fd_step=0.0),
-            dict(fd_step=-1e-6),
-            dict(fd_step=float("nan")),
         ):
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
@@ -349,32 +350,19 @@ class TestStacks:
 
     def test_batch_optimizer_equals_scalar(self):
         # every entry of a stack equals the per-matrix reference loop bit
-        # for bit, with shared or per-entry starts and weights
+        # for bit, with shared or per-entry starts
         h = rayleigh_stack(4, 8, 2, 3)
         est = h + 0.3 * rayleigh_stack(4, 8, 2, 4)
         starts = (None, random_start(2, 8, 1), np.stack([random_start(2, 8, (1, r)) for r in range(4)]))
-        weights = (None, np.array([0.3, 0.7]), np.array([[0.5, 0.5], [0.9, 0.1], [0.0, 1.0], [0.25, 0.75]]))
-        for cfg in (
-            OptimizerConfig(iterations=4),
-            sweep_optimizer_config(30),
-            OptimizerConfig(iterations=30, gradient="analytic", lookahead_every=7, lookahead_coeff=0.3),
-            OptimizerConfig(iterations=30, gradient="analytic", optimize_weights=True, lookahead_every=0),
-        ):
+        for cfg in (OptimizerConfig(iterations=4), sweep_optimizer_config(30)):
             for start in starts:
-                for alpha in weights:
-                    stack = optimize_sum_rate(est, h, 0.2, cfg, initial=start, weights=alpha)
-                    for r in range(4):
-                        one = optimize_reference(
-                            est[r],
-                            h[r],
-                            0.2,
-                            cfg,
-                            initial=None if start is None else start[r] if start.ndim == 3 else start,
-                            weights=None if alpha is None else alpha[r] if alpha.ndim == 2 else alpha,
-                        )
-                        assert np.array_equal(stack.combiner[r], one.combiner)
-                        assert np.array_equal(stack.trace[r], one.trace)
-                        assert np.array_equal(stack.weights[r], one.weights)
+                stack = optimize_sum_rate(est, h, 0.2, cfg, initial=start)
+                for r in range(4):
+                    one = optimize_reference(
+                        est[r], h[r], 0.2, cfg, initial=None if start is None else start[r] if start.ndim == 3 else start
+                    )
+                    assert np.array_equal(stack.combiner[r], one.combiner)
+                    assert np.array_equal(stack.trace[r], one.trace)
 
     def test_batch_optimizer_on_one_matrix(self):
         h = rayleigh(8, 2, 5)

@@ -35,6 +35,9 @@ class TestMaxDoppler:
             max_doppler(-1.0, 2.6e9)
         with pytest.raises(ValueError):
             max_doppler(1.0, 0.0)
+        for velocity, carrier in ((float("nan"), 2.6e9), (float("inf"), 2.6e9), (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                max_doppler(velocity, carrier)
 
 
 class TestDopplerConfig:
@@ -50,6 +53,15 @@ class TestDopplerConfig:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             DopplerConfig(velocity_mps=(40.0, 30.0))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(carrier_hz=float("inf")), dict(carrier_hz=float("nan")), dict(velocity_mps=(float("nan"),) * 2),
+         dict(velocity_mps=(0.0, float("inf"))), dict(velocity_mps=float("nan"))],
+    )
+    def test_nonfinite_rejected(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            DopplerConfig(**fields)
 
 
 class TestJakesFading:

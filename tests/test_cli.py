@@ -61,6 +61,12 @@ class TestMasksCommand:
         assert payload["grid"]["pattern"] == "fixed_strided"
         assert payload["causal"] is True
 
+    def test_causal_doppler_pattern_rejected(self, tmp_path, capsys):
+        out = tmp_path / "masks.json"
+        assert cli_dispatch(["masks", "--L", "2", "--K", "3", "--causal", "--out", str(out), "--quiet"]) == 1
+        assert "--causal" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGraphCommand:
     def test_canonical_grid_exits_zero(self, tmp_path, capsys):
@@ -112,6 +118,15 @@ class TestChannelCommand:
         assert cli_dispatch(["channel", "--rb", "0", "--out", str(tmp_path / "c.bin"), "--quiet"]) == 1
         assert "need at least one resource block" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--v-min", "nan", "--v-max", "nan"], ["--fc", "inf"], ["--v-max", "inf"]])
+    def test_nonfinite_mobility_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "c.bin"
+        code = cli_dispatch(["channel", *flags, "--rb", "1", "--symbols", "2", "--realizations", "1",
+                             "--m", "1", "--n", "1", "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBeamformCommand:
     def test_csv_columns(self, tmp_path):
@@ -130,6 +145,22 @@ class TestBeamformCommand:
                                  "--opt-iterations", "5", "--csv", str(path), "--quiet"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("method", ["zf", "mmse", "opt"])
+    def test_nan_snr_rejected(self, tmp_path, capsys, method):
+        out = tmp_path / "rates.csv"
+        code = cli_dispatch(["beamform", "--method", method, "--snr-db", "nan", "--realizations", "2",
+                             "--opt-iterations", "2", "--csv", str(out), "--quiet"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_snr_is_noiseless(self, tmp_path, capsys):
+        # noise power 0: ZF and MMSE coincide; the optimizer needs noise
+        out = tmp_path / "rates.csv"
+        for method, expected in (("zf", 0), ("mmse", 0), ("opt", 1)):
+            assert cli_dispatch(["beamform", "--method", method, "--snr-db", "inf", "--realizations", "2",
+                                 "--csv", str(out), "--quiet"]) == expected
+
 
 class TestSweepCommand:
     def test_small_sweep_writes_csv_and_json(self, tmp_path):
@@ -143,6 +174,15 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 2 * 2
         payload = json.loads(json_path.read_text())
         assert len(payload["points"]) == 8
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "0,nan"])
+    def test_nonfinite_snr_rejected(self, tmp_path, capsys, snr):
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(["sweep", "--snr-db", snr, "--realizations", "2", "--methods", "zf,mmse",
+                             "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

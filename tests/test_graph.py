@@ -182,6 +182,10 @@ class TestHopDiameter:
         sampled = hop_diameter(canonical_masks, "undirected", bfs_cap=100, sample=True, sample_sources=32)
         assert sampled.sampled and sampled.source_count == 32
 
+    def test_sampling_needs_a_source(self, canonical_masks):
+        with pytest.raises(ValueError, match="sample_sources"):
+            hop_diameter(canonical_masks, "undirected", bfs_cap=100, sample=True, sample_sources=0)
+
     def test_rejects_unknown_mode(self, canonical_masks):
         with pytest.raises(ValueError):
             hop_diameter(canonical_masks, "sideways")

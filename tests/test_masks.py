@@ -305,6 +305,19 @@ class TestMaskJson:
         restored = SparseMaskSet.from_json_dict(masks.to_json_dict())
         assert restored.equals(masks)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_causal_must_be_json_bool(self, value):
+        payload = build_fixed_strided_masks(GridSpec(2, 3, 2, 2.0)).to_json_dict()
+        payload["causal"] = value
+        with pytest.raises(ValueError, match="causal"):
+            SparseMaskSet.from_json_dict(payload)
+
+    def test_doppler_masks_cannot_be_causal(self):
+        payload = build_doppler_masks(GridSpec(3, 4, 2, 2.0)).to_json_dict()
+        payload["causal"] = True
+        with pytest.raises(ValueError, match="causal"):
+            SparseMaskSet.from_json_dict(payload)
+
     @pytest.mark.parametrize("heads", [[0, 0], [0, 7], [1]])
     def test_head_indices_must_be_exactly_0_to_p_minus_1(self, heads):
         payload = build_doppler_masks(GridSpec(3, 4, 2, 2.0)).to_json_dict()
