@@ -76,8 +76,8 @@ class OfdmConfig:
     def __post_init__(self):
         if min(self.symbols, self.subcarriers, self.num_taps) < 1:
             raise ValueError("symbols, subcarriers and taps must be >= 1")
-        if self.subcarrier_spacing_hz <= 0 or self.tti_s <= 0 or self.delay_spread_s <= 0:
-            raise ValueError("spacing, TTI and delay spread must be > 0")
+        if not all(0 < x < math.inf for x in (self.subcarrier_spacing_hz, self.tti_s, self.delay_spread_s)):
+            raise ValueError("spacing, TTI and delay spread must be finite and > 0")
 
     @classmethod
     def from_resource_blocks(cls, resource_blocks: int, **kwargs) -> "OfdmConfig":
@@ -109,8 +109,8 @@ def jakes_fading(doppler_hz: float, time_grid, seed, num_sinusoids: int = 32) ->
     J0(2 pi doppler_hz tau) and zero Doppler gives a time-constant
     draw.
     """
-    if doppler_hz < 0:
-        raise ValueError("Doppler shift must be >= 0")
+    if not (0 <= doppler_hz < math.inf):
+        raise ValueError("Doppler shift must be finite and >= 0")
     if num_sinusoids < 8:
         raise ValueError("need at least 8 sinusoid components")
     rng = np.random.default_rng(seed)
@@ -219,8 +219,8 @@ def time_bias_hint(doppler_hz: float, symbol_duration_s: float) -> float:
     """Heuristic time-bias factor from normalized Doppler
     nu = f_d * symbol duration: 1 below 0.005, 2 below 0.02, else 4.
     A starting point only; callers are free to override."""
-    if doppler_hz < 0 or symbol_duration_s < 0:
-        raise ValueError("inputs must be >= 0")
+    if not (0 <= doppler_hz < math.inf and 0 <= symbol_duration_s < math.inf):
+        raise ValueError("inputs must be finite and >= 0")
     nu = doppler_hz * symbol_duration_s
     if nu < 0.005:
         return 1.0

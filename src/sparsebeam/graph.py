@@ -8,10 +8,15 @@ classes, and measures hop diameters by breadth-first search.  It
 measures; it does not prove.
 
 The search packs the union graph into a (tokens, ceil(tokens/64))
-uint64 bit matrix and runs level-synchronous BFS from a chunk of
-sources at once, each source's visited set held as one bit row.  Chunks
-are sized so that one level's gathered out-rows stay near 1 MB, the
-peak working set beyond the bit matrix itself.
+uint64 bit matrix and runs level-synchronous BFS for a chunk of
+searches at once, each search's visited set held as one bit row.
+Sources with the same out-row have the same distances to every other
+node, so `hop_diameter` groups its sources by exact row equality and
+runs one search per row class, seeded with the shared out-row at level
+1; a lone source's own entry is then reset to 0.  Chunks are sized so
+that one level's gathered out-rows stay near 1 MB, the peak working set
+beyond the bit matrix itself, and each chunk is reduced to its maximum
+and its witnesses before the next one runs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .masks import DOPPLER_AWARE, GridSpec, SparseMaskSet, _pairs_to_csr, build_doppler_masks, global_stride, head_strides
+from .masks import DOPPLER_AWARE, GridSpec, SparseMaskSet, _group_rows, _pairs_to_csr, build_doppler_masks, global_stride, head_strides
 
 DEFAULT_BFS_CAP = 4096
 DEFAULT_SAMPLE_SOURCES = 1024
@@ -101,39 +106,42 @@ def _adjacency_bits(indptr, indices, tokens):
     return adj
 
 
-def _bfs_levels(adj, sources):
-    """Hop distances from each of `sources` (int64, -1 if unreachable),
-    one row per source, by level-synchronous BFS over all of them at once.
+def _bfs_levels(adj, seeds):
+    """Hop distances (int64, -1 if unreachable), one row per row of the
+    bit matrix `seeds`: the nodes set in seeds[k] sit at level 1, and
+    level-synchronous BFS runs on from them for all rows at once.
 
-    `reach` holds each source's visited set as bits; a level ORs the
-    out-rows of every frontier node per source in one `reduceat`.
+    `reach` holds each row's visited set as bits; a level ORs the
+    out-rows of every frontier node per row in one `reduceat`.
     """
-    tokens, n = adj.shape[0], sources.size
-    dist = np.full((n, tokens), -1, dtype=np.int64)
-    dist[np.arange(n), sources] = 0
-    reach = np.zeros((n, adj.shape[1]), dtype=np.uint64)
-    reach[np.arange(n), sources >> 6] = _bit(sources)
-    owner, nodes = np.arange(n), sources
+    tokens = adj.shape[0]
+    dist = np.full((seeds.shape[0], tokens), -1, dtype=np.int64)
+    reach = seeds.copy()
+    fresh, active = seeds, np.arange(seeds.shape[0])
     level = 0
-    while nodes.size:
+    while True:
         level += 1
+        octets = fresh.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, axis=1, count=tokens, bitorder="little")
+        row, nodes = np.nonzero(bits)
+        if not nodes.size:
+            return dist
+        owner = active[row]
+        dist[owner, nodes] = level
         starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
         active = owner[starts]
         fresh = np.bitwise_or.reduceat(adj[nodes], starts, axis=0)
         fresh &= ~reach[active]
         reach[active] |= fresh
-        octets = fresh.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(octets, axis=1, count=tokens, bitorder="little")
-        row, nodes = np.nonzero(bits)
-        owner = active[row]
-        dist[owner, nodes] = level
-    return dist
 
 
 def _bfs_distances(indptr, indices, source, tokens):
-    """Hop distances from one source (int64, -1 if unreachable)."""
+    """Hop distances from one source (int64, -1 if unreachable): its
+    out-row seeded at level 1, then d(source, source) = 0."""
     adj = _adjacency_bits(indptr, indices, tokens)
-    return _bfs_levels(adj, np.array([source], dtype=np.int64))[0]
+    dist = _bfs_levels(adj, adj[[source]])[0]
+    dist[source] = 0
+    return dist
 
 
 def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False):
@@ -148,6 +156,20 @@ def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False
     tokens = maskset.tokens
     src = np.repeat(np.arange(tokens, dtype=np.int64), np.diff(indptr))
     return _pairs_to_csr(np.concatenate([src, indices]), np.concatenate([indices, src]), tokens)
+
+
+def _twin_classes(indptr, indices, sources):
+    """`sources` (ascending) grouped by exact out-row equality: class c
+    holds members[bounds[c] : bounds[c + 1]], ascending, and classes are
+    numbered in the order of their smallest source."""
+    if sources.size < indptr.size - 1:
+        # a sample: group the sampled rows only, not every token's
+        lengths = np.diff(indptr)[sources]
+        starts = np.r_[0, np.cumsum(lengths)]
+        indices = indices[np.repeat(indptr[sources] - starts[:-1], lengths) + np.arange(starts[-1])]
+        indptr = starts
+    classes = _group_rows(indptr, indices)[0]
+    return sources[np.argsort(classes, kind="stable")], np.r_[0, np.cumsum(np.bincount(classes))]
 
 
 @dataclass
@@ -214,21 +236,39 @@ def hop_diameter(
         sources = np.arange(tokens, dtype=np.int64)
         sampled = False
 
+    # Sources with equal out-rows N are twins: d(i, t) = 1 + min over n
+    # in N of d(n, t) for every t != i, so one search seeded with N at
+    # level 1 gives row e with d(i, t) = e[t] for all of them.
+    members, bounds = _twin_classes(indptr, indices, sources)
+    firsts = members[bounds[:-1]]  # each class's smallest source
+
     adj = _adjacency_bits(indptr, indices, tokens)
     # Worst case, one level gathers every token's out-row for every
-    # source of the chunk; size chunks so that stays near _CHUNK_BYTES.
+    # row of the chunk; size chunks so that stays near _CHUNK_BYTES.
     chunk = max(1, _CHUNK_BYTES // (tokens * adj.shape[1] * adj.itemsize))
     best = 0
     witnesses: list[tuple[int, int]] = []
-    for lo in range(0, sources.size, chunk):
-        block = sources[lo : lo + chunk]
-        dist = _bfs_levels(adj, block)
-        rows, cols = np.nonzero(dist < 0)
-        take = _WITNESS_LIMIT - len(witnesses)
-        witnesses += zip(block[rows[:take]].tolist(), cols[:take].tolist())
-        if len(witnesses) >= _WITNESS_LIMIT:
-            break
+    for lo in range(0, firsts.size, chunk):
+        hi = min(lo + chunk, firsts.size)
+        dist = _bfs_levels(adj, adj[firsts[lo:hi]])
+        # A lone source's own entry is a return path; d(i, i) = 0.  In a
+        # class of twins e[i] is the distance from i's twins to i.
+        lone = np.flatnonzero(np.diff(bounds[lo : hi + 1]) == 1)
+        dist[lone, firsts[lo + lone]] = 0
         best = max(best, int(dist.max()))
+        for r in np.flatnonzero((dist < 0).any(axis=1)):
+            if len(witnesses) == _WITNESS_LIMIT and firsts[lo + r] > witnesses[-1][0]:
+                break
+            # Twin classes interleave in source order, so merge and keep
+            # the first witnesses by source, then target.  Each source
+            # needs at most that many targets other than itself, and at
+            # most one source of a class can lack a target.
+            targets = np.flatnonzero(dist[r] < 0)[: _WITNESS_LIMIT + 1].tolist()
+            twins = members[bounds[lo + r] : bounds[lo + r + 1]][: _WITNESS_LIMIT + 1].tolist()
+            found = [(i, t) for i in twins for t in targets if t != i]
+            witnesses = sorted(witnesses + found)[:_WITNESS_LIMIT]
+        if len(witnesses) == _WITNESS_LIMIT and hi < firsts.size and firsts[hi] > witnesses[-1][0]:
+            break
     if witnesses:
         return HopDiameterResult(mode, None, witnesses, source_count=len(sources), sampled=sampled)
     return HopDiameterResult(mode, best, [], source_count=len(sources), sampled=sampled)

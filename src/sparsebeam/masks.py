@@ -243,11 +243,13 @@ class SparseMaskSet:
     def __init__(self, grid, pattern_kind, head_rows, causal=False):
         if pattern_kind not in (DOPPLER_AWARE, FIXED_STRIDED):
             raise ValueError(f"unknown pattern kind: {pattern_kind!r}")
+        if not isinstance(causal, bool):
+            raise ValueError(f"causal must be a bool, got {causal!r}")
         if causal and pattern_kind == DOPPLER_AWARE:
             raise ValueError(f"{DOPPLER_AWARE} masks cannot be causal")
         self.grid = grid
         self.pattern_kind = pattern_kind
-        self.causal = bool(causal)
+        self.causal = causal
         self._heads = []
         for indptr, indices in head_rows:
             if np.asarray(indptr).dtype.kind not in "iu" or np.asarray(indices).dtype.kind not in "iu":
@@ -379,10 +381,7 @@ class SparseMaskSet:
         if [e["head"] for e in entries] != list(range(grid.heads)):
             raise ValueError(f"head indices must be exactly 0..{grid.heads - 1}")
         rows_per_head = [e["rows"] for e in entries]
-        causal = payload.get("causal", False)
-        if not isinstance(causal, bool):
-            raise ValueError(f"causal must be a JSON bool, got {causal!r}")
-        return cls.from_rows(grid, payload["grid"]["pattern"], rows_per_head, causal=causal)
+        return cls.from_rows(grid, payload["grid"]["pattern"], rows_per_head, causal=payload.get("causal", False))
 
 
 def _check_token_cap(grid: GridSpec, max_tokens: int) -> None:

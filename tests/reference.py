@@ -76,6 +76,44 @@ def diameter_by_powering(adjacency):
     return int(dist.max()), True
 
 
+def hop_diameter_reference(maskset, mode="undirected", heads=None, bfs_cap=4096, sample=False, sample_sources=1024, seed=0):
+    """`hop_diameter` by one breadth-first search per source over a dense
+    boolean union graph built from the mask rows.  Sources above
+    `bfs_cap` tokens are drawn as the library draws them; witnesses are
+    the first 10 unreachable pairs by source, then target."""
+    from sparsebeam.graph import HopDiameterResult
+
+    tokens = maskset.tokens
+    adjacency = np.zeros((tokens, tokens), dtype=bool)
+    for h in range(maskset.head_count) if heads is None else heads:
+        for i in range(tokens):
+            adjacency[i, maskset.row(h, i)] = True
+    if mode == "undirected":
+        adjacency |= adjacency.T
+    sampled = tokens > bfs_cap and sample
+    if sampled:
+        rng = np.random.default_rng(seed)
+        sources = np.sort(rng.choice(tokens, size=min(sample_sources, tokens), replace=False))
+    else:
+        sources = np.arange(tokens)
+    best, witnesses = 0, []
+    for source in sources:
+        dist = np.full(tokens, -1)
+        dist[source] = 0
+        frontier, level = np.array([source]), 0
+        while frontier.size:
+            level += 1
+            frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & (dist < 0))
+            dist[frontier] = level
+        witnesses += [(int(source), int(t)) for t in np.flatnonzero(dist < 0)]
+        if len(witnesses) >= 10:
+            break
+        best = max(best, int(dist.max()))
+    if witnesses:
+        return HopDiameterResult(mode, None, witnesses[:10], source_count=len(sources), sampled=sampled)
+    return HopDiameterResult(mode, best, [], source_count=len(sources), sampled=sampled)
+
+
 def row_classes_reference(masks, head):
     """(classes, representatives) of one head by a dict of literal rows:
     a query opens a new class when its row was not seen before."""

@@ -72,6 +72,10 @@ DIAMETER_REGRESSION = {
     (3, 5, 1, 1.0): (1, 1),
 }
 
+# the same, on the 4096-token grid the attention benchmark uses (still
+# exact: at the default BFS cap every token is a source)
+LARGE_DIAMETER_REGRESSION = {(64, 64, 2, 2.0): (33, 17)}
+
 
 def test_c1_mask_exactness():
     budget = Budget("criterion 1 (mask exactness)", 1.0)
@@ -141,6 +145,16 @@ def test_c4_connectivity_theorem():
         assert report.undirected.diameter == undirected_expected, spec
     assert canonical_seen
     budget.done("bridging => one undirected component on all grids; diameters match regression")
+
+
+def test_c4_large_grid_diameters():
+    budget = Budget("criterion 4 (exact diameters on 64x64)", 10.0)
+    for spec, (directed_expected, undirected_expected) in LARGE_DIAMETER_REGRESSION.items():
+        report = connectivity_report(GridSpec(*spec))
+        assert not report.directed.sampled and report.directed.source_count == 4096
+        assert report.directed.diameter == directed_expected, spec
+        assert report.undirected.diameter == undirected_expected, spec
+    budget.done("64x64 exact directed 33, undirected 17 hops")
 
 
 def test_c5_attention_kernel():

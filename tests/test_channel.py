@@ -120,6 +120,11 @@ class TestJakesFading:
         with pytest.raises(ValueError):
             jakes_fading(10.0, [0.0], seed=0, num_sinusoids=4)
 
+    @pytest.mark.parametrize("doppler_hz", [float("nan"), float("inf")])
+    def test_nonfinite_doppler_rejected(self, doppler_hz):
+        with pytest.raises(ValueError, match="finite"):
+            jakes_fading(doppler_hz, [0.0, 1e-3], seed=0)
+
 
 class TestGenerateChannel:
     def test_single_tap_is_frequency_flat(self):
@@ -254,6 +259,11 @@ class TestTimeBiasHint:
         with pytest.raises(ValueError):
             time_bias_hint(-1.0, 1e-5)
 
+    @pytest.mark.parametrize("args", [(float("nan"), 1e-4), (float("inf"), 1e-4), (100.0, float("nan")), (100.0, float("inf"))])
+    def test_nonfinite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            time_bias_hint(*args)
+
 
 class TestOfdmConfig:
     def test_resource_block_constructor(self):
@@ -271,6 +281,12 @@ class TestOfdmConfig:
             OfdmConfig(symbols=0)
         with pytest.raises(ValueError):
             OfdmConfig(delay_spread_s=0.0)
+
+    @pytest.mark.parametrize("field", ["subcarrier_spacing_hz", "tti_s", "delay_spread_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            OfdmConfig(**{field: value})
 
 
 class TestChannelFile:

@@ -118,7 +118,17 @@ class TestChannelCommand:
         assert cli_dispatch(["channel", "--rb", "0", "--out", str(tmp_path / "c.bin"), "--quiet"]) == 1
         assert "need at least one resource block" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--v-min", "nan", "--v-max", "nan"], ["--fc", "inf"], ["--v-max", "inf"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--v-min", "nan", "--v-max", "nan"],
+            ["--fc", "inf"],
+            ["--v-max", "inf"],
+            ["--tti", "nan"],
+            ["--delay-spread", "nan"],
+            ["--subcarrier-spacing", "inf"],
+        ],
+    )
     def test_nonfinite_mobility_rejected(self, tmp_path, capsys, flags):
         out = tmp_path / "c.bin"
         code = cli_dispatch(["channel", *flags, "--rb", "1", "--symbols", "2", "--realizations", "1",

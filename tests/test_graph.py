@@ -1,5 +1,7 @@
 """Partition, bridging and hop-diameter checks against brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,14 @@ from sparsebeam import (
     connectivity_report,
     effective_step,
     equivalence_classes,
+    graph,
     hop_diameter,
     union_adjacency,
     verify_partition,
 )
 
 from conftest import BATTERY_GRIDS
-from reference import diameter_by_powering
+from reference import diameter_by_powering, hop_diameter_reference
 
 
 def dense_union(maskset, heads=None, undirected=False):
@@ -170,6 +173,68 @@ class TestHopDiameter:
         result = hop_diameter(SparseMaskSet.from_rows(grid, "doppler_aware", rows), mode)
         assert result.reachable == oracle_reachable
         assert result.diameter == oracle_diameter
+
+    @pytest.mark.parametrize("spec", BATTERY_GRIDS)
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_battery_matches_per_source_oracle(self, spec, mode):
+        masks = build_doppler_masks(GridSpec(*spec))
+        assert hop_diameter(masks, mode).to_json_dict() == hop_diameter_reference(masks, mode).to_json_dict()
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("kwargs", [{"heads": [0]}, {"bfs_cap": 100, "sample": True, "sample_sources": 32}])
+    def test_canonical_matches_per_source_oracle(self, canonical_masks, mode, kwargs):
+        expected = hop_diameter_reference(canonical_masks, mode, **kwargs).to_json_dict()
+        assert hop_diameter(canonical_masks, mode, **kwargs).to_json_dict() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        symbols=st.integers(1, 4),
+        subcarriers=st.integers(1, 6),
+        heads=st.integers(1, 2),
+        mode=st.sampled_from(["directed", "undirected"]),
+    )
+    def test_twin_rows_match_oracles(self, data, symbols, subcarriers, heads, mode):
+        # Rows come from a small pool, so many queries share an out-row,
+        # with or without a self-loop.
+        grid = GridSpec(symbols, subcarriers, heads)
+        pool = data.draw(st.lists(st.sets(st.integers(0, grid.tokens - 1)).map(sorted), min_size=1, max_size=3))
+        pick = st.lists(st.sampled_from(pool), min_size=grid.tokens, max_size=grid.tokens)
+        rows = [data.draw(pick) for _ in range(heads)]
+        masks = SparseMaskSet.from_rows(grid, "doppler_aware", rows)
+        oracle_diameter, _ = diameter_by_powering(dense_union(masks, undirected=(mode == "undirected")))
+        runs = [{}]
+        if grid.tokens > 1:
+            sources = data.draw(st.integers(1, grid.tokens))
+            runs.append({"bfs_cap": grid.tokens - 1, "sample": True, "sample_sources": sources, "seed": sources})
+        for kwargs in runs:
+            expected = hop_diameter_reference(masks, mode, **kwargs).to_json_dict()
+            assert hop_diameter(masks, mode, **kwargs).to_json_dict() == expected
+            # one row class per chunk: witnesses merge across chunks
+            with mock.patch.object(graph, "_CHUNK_BYTES", 1):
+                assert hop_diameter(masks, mode, **kwargs).to_json_dict() == expected
+        assert hop_diameter(masks, mode).diameter == oracle_diameter
+
+    def test_witnesses_of_interleaved_twin_classes(self):
+        # Queries 0 and 5 share the row [3]; query 3 alone has [6, 7].
+        # Listed class by class, (5, 0) would come before every (3, t).
+        grid = GridSpec(1, 8, heads=1)
+        full = list(range(8))
+        rows = [[3], full, full, [6, 7], full, [3], [6], [7]]
+        result = hop_diameter(SparseMaskSet.from_rows(grid, "doppler_aware", [rows]), "directed")
+        expected = [(0, 1), (0, 2), (0, 4), (0, 5), (3, 0), (3, 1), (3, 2), (3, 4), (3, 5), (5, 0)]
+        assert result.diameter is None and result.unreachable_pairs == expected
+
+    @pytest.mark.parametrize(
+        "spec, pairs",
+        [
+            ((5, 7, 2, 4.0), [(3, 0), (3, 1), (3, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 10), (3, 11)]),
+            ((2, 3, 2, 2.0), [(0, 1), (0, 2), (0, 4), (0, 5), (3, 1), (3, 2), (3, 4), (3, 5)]),
+            ((1, 9, 2, 2.0), [(0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (0, 8), (2, 0), (2, 1), (2, 3), (2, 4)]),
+        ],
+    )
+    def test_disconnected_battery_witnesses_locked(self, spec, pairs):
+        assert hop_diameter(build_doppler_masks(GridSpec(*spec)), "directed").unreachable_pairs == pairs
 
     def test_witnesses_in_source_then_target_order(self, canonical_masks):
         result = hop_diameter(canonical_masks, "directed", heads=[0])

@@ -312,6 +312,13 @@ class TestMaskJson:
         with pytest.raises(ValueError, match="causal"):
             SparseMaskSet.from_json_dict(payload)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.True_])
+    def test_constructor_causal_must_be_bool(self, value):
+        grid = GridSpec(2, 3, 2, 2.0)
+        rows = [[[i] for i in range(grid.tokens)]] * 2
+        with pytest.raises(ValueError, match="causal"):
+            SparseMaskSet.from_rows(grid, "fixed_strided", rows, causal=value)
+
     def test_doppler_masks_cannot_be_causal(self):
         payload = build_doppler_masks(GridSpec(3, 4, 2, 2.0)).to_json_dict()
         payload["causal"] = True
