@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """ZF and MMSE combiners, the SINR/sum-rate algebra, and direct
-projected-gradient sum-rate maximization with Lookahead.
+projected-gradient sum-rate maximization with Lookahead.  The sum rate
+is sum_k log2(1 + SINR_k) over the users, in bps/Hz.
 
 Run: python demos/04_beamformers.py
 """
@@ -29,7 +30,7 @@ w_zf = zf_combiner(h)
 print(f"||W_zf @ H - I||_F = {np.linalg.norm(w_zf @ h - np.eye(2)):.2e}")
 
 print()
-print("=== 2. MMSE trades nulling against noise amplification ===")
+print("=== 2. MMSE trades nulling against noise amplification (2-user sum rate) ===")
 for snr_db in (-10, 0, 20):
     sigma2 = 10 ** (-snr_db / 10)
     r_zf = sum_rate(power_project(w_zf), h, sigma2)
@@ -52,7 +53,7 @@ print(f"closed form log2(1 + ||h||^2 / sigma^2) = {bound:.6f}")
 print(f"projected gradient ascent reaches        {result.rate:.6f}")
 
 print()
-print("=== 5. With a noisy estimate, direct optimization recovers rate ===")
+print("=== 5. With a noisy estimate, direct optimization recovers sum rate ===")
 h_true = rayleigh(8, 2, 7)
 h_est = h_true + 0.4 * rayleigh(8, 2, 8)
 sigma2 = 0.1
@@ -60,7 +61,7 @@ start = sum_rate(power_project(mmse_combiner(h_est, sigma2)), h_true, sigma2)
 cfg = OptimizerConfig(iterations=400, gradient="analytic", step_size=0.1)
 result = optimize_sum_rate(h_est, h_true, sigma2, cfg)
 trace = result.trace
-print(f"MMSE-from-estimate start: {start:.3f} bps/Hz")
+print(f"MMSE-from-estimate start: {start:.3f} bps/Hz, summed over the 2 users")
 print(f"after {len(trace) - 1} projected steps (lookahead every 13, coeff 0.5): {result.rate:.3f} bps/Hz")
 marks = [0, 50, 100, 200, 400]
 print("best-so-far trace:", "  ".join(f"t={t}: {trace[t]:.3f}" for t in marks))

@@ -251,7 +251,6 @@ class HistogramReport:
     """Per-head histogram of attended-key counts per query."""
 
     per_head: list[dict[int, int]]
-    samples: int
     total_queries: int
 
     def to_rows(self) -> list[tuple[int, int, int]]:
@@ -262,13 +261,10 @@ class HistogramReport:
         return rows
 
 
-def attended_keys_histogram(masks: SparseMaskSet, samples: int = 1) -> HistogramReport:
-    """Histogram of row lengths per head, replicated `samples` times to
-    mirror batched accounting (each sample contributes every query once)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+def attended_keys_histogram(masks: SparseMaskSet) -> HistogramReport:
+    """Histogram of row lengths per head: each query counts once."""
     per_head = []
     for h in range(masks.head_count):
         counts = Counter(int(n) for n in masks.row_lengths(h))
-        per_head.append({length: samples * n for length, n in sorted(counts.items())})
-    return HistogramReport(per_head=per_head, samples=samples, total_queries=samples * masks.tokens)
+        per_head.append(dict(sorted(counts.items())))
+    return HistogramReport(per_head=per_head, total_queries=masks.tokens)

@@ -7,6 +7,7 @@ matrix whose row k is user k's receive filter, applied as a plain
 below produce exactly this row layout, so combiner @ channel is the
 effective user-coupling matrix.  Rates are log base 2 (bps/Hz), unit
 transmit power per user and white circularly-symmetric noise assumed.
+The sum rate is sum_k log2(1 + SINR_k) over the users, not a mean.
 
 Channels and combiners may carry leading batch axes, (..., antennas,
 users) and (..., users, antennas); every entry of a stack gets exactly
@@ -35,6 +36,8 @@ def _as_channel(channel) -> np.ndarray:
     h = np.asarray(channel, dtype=np.complex128)
     if h.ndim < 2:
         raise ValueError("channel must be an (antennas x users) matrix or a stack of them")
+    if 0 in h.shape[-2:]:
+        raise ValueError("channel needs at least one antenna and one user")
     if not (np.isfinite(h.real).all() and np.isfinite(h.imag).all()):
         raise ValueError("channel must be finite")
     return h
@@ -116,35 +119,21 @@ def sinr(combiner, channel, noise_power: float) -> np.ndarray:
     return gammas
 
 
-def _check_weights(weights, users: int) -> np.ndarray:
-    """Validated user weights: (users,) or a stack (..., users)."""
-    if weights is None:
-        return np.full(users, 1.0 / users)
-    a = np.asarray(weights, dtype=np.float64)
-    if a.ndim < 1 or a.shape[-1] != users:
-        raise ValueError("one weight per user required")
-    if (a < 0).any() or (np.abs(a.sum(axis=-1) - 1.0) > 1e-12).any():
-        raise ValueError("weights must be nonnegative and sum to 1")
-    return a
-
-
-def _weighted_rate(gammas, weights):
-    """sum_k weights_k * log2(1 + gammas_k) over the last axis; a float
-    for one matrix, an array for a stack."""
-    terms = np.where(weights > 0, weights * np.log1p(gammas) / LOG2, 0.0)
-    total = terms.sum(axis=-1)
+def _rate(gammas):
+    """sum_k log2(1 + gammas_k) over the last axis; a float for one
+    matrix, an array for a stack."""
+    total = (np.log1p(gammas) / LOG2).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
-def sum_rate(combiner, channel, noise_power: float, weights=None):
-    """Weighted sum rate sum_k weights_k * log2(1 + sinr_k) in bps/Hz;
-    a float for one matrix, one rate per entry for a stack.
+def sum_rate(combiner, channel, noise_power: float):
+    """Sum rate sum_k log2(1 + sinr_k) in bps/Hz; a float for one
+    matrix, one rate per entry for a stack.
 
     Its negative is the training-style loss when the combiner was
     derived from an estimate but evaluated against the true channel.
     """
-    gammas = sinr(combiner, channel, noise_power)
-    return _weighted_rate(gammas, _check_weights(weights, gammas.shape[-1]))
+    return _rate(sinr(combiner, channel, noise_power))
 
 
 def power_project(combiner) -> np.ndarray:
@@ -176,33 +165,32 @@ def lookahead_update(slow, fast, coeff: float) -> np.ndarray:
     return s + coeff * (f - s)
 
 
-def _rate_and_gradient(w, h, noise_power, weights):
+def _rate_and_gradient(w, h, noise_power):
     """Sum rate plus its gradient packed as a complex array G with
     G = dJ/dRe(W) + 1j * dJ/dIm(W), so W + lr * G is a real-space
     gradient-ascent step.  The rate is exactly `sum_rate`'s."""
     coupling, diag, desired, denom, gamma = _sinr_parts(w, h, noise_power)
-    rate = _weighted_rate(gamma, weights)
+    rate = _rate(gamma)
 
     h_rows = h.conj().swapaxes(-1, -2)  # row i = conj(h_i)^T
     d_desired = diag[..., :, None] * h_rows
     d_denom = coupling @ h_rows - d_desired + noise_power * w
-    coeff = weights / (LOG2 * (1.0 + gamma))
+    coeff = 1.0 / (LOG2 * (1.0 + gamma))
     grad = 2.0 * coeff[..., :, None] * (d_desired * denom[..., :, None] - desired[..., :, None] * d_denom) / (denom**2)[..., :, None]
     return rate, grad
 
 
-def sum_rate_gradient(combiner, channel, noise_power: float, weights=None) -> np.ndarray:
+def sum_rate_gradient(combiner, channel, noise_power: float) -> np.ndarray:
     """Analytic gradient of `sum_rate` w.r.t. the combiner, packed as
     complex (real part = d/dRe, imaginary part = d/dIm)."""
     w = np.asarray(combiner, dtype=np.complex128)
     h = _as_channel(channel)
-    alpha = _check_weights(weights, h.shape[-1])
     if not (0 < noise_power < math.inf):
         raise ValueError("gradient needs a finite noise power > 0")
-    return _rate_and_gradient(w, h, noise_power, alpha)[1]
+    return _rate_and_gradient(w, h, noise_power)[1]
 
 
-def finite_difference_gradient(combiner, channel, noise_power, weights=None) -> np.ndarray:
+def finite_difference_gradient(combiner, channel, noise_power) -> np.ndarray:
     """Central-difference gradient of `sum_rate` over the 2*users*antennas
     real parameters (step 1e-6), packed like `sum_rate_gradient`; on a
     stack, every entry's parameter is bumped at once."""
@@ -213,9 +201,9 @@ def finite_difference_gradient(combiner, channel, noise_power, weights=None) -> 
             for part, bump in ((1.0, 1.0), (1.0j, 1.0j)):
                 orig = w[..., k, m].copy()
                 w[..., k, m] = orig + _FD_STEP * bump
-                up = sum_rate(w, channel, noise_power, weights)
+                up = sum_rate(w, channel, noise_power)
                 w[..., k, m] = orig - _FD_STEP * bump
-                down = sum_rate(w, channel, noise_power, weights)
+                down = sum_rate(w, channel, noise_power)
                 w[..., k, m] = orig
                 slope = (up - down) / (2.0 * _FD_STEP)
                 grad[..., k, m] += slope * part
@@ -272,8 +260,10 @@ def optimize_sum_rate(
     the role the training loss plays for a learned beamformer.  The
     returned trace is the best rate seen up to each iteration and is
     non-decreasing by construction.  Every stack entry keeps its own
-    best iterate and trace, exactly as if it ran alone.  Lookahead runs
-    every 13 steps with coefficient 0.5.
+    best iterate and trace, exactly as if it ran alone.  Each step is
+    `step_size / users` times the sum-rate gradient, that is
+    `step_size` on the per-user mean rate.  Lookahead runs every 13
+    steps with coefficient 0.5.
 
     `initial` overrides the starting combiner (a random start is
     `power_project` of a seeded draw) and broadcasts over the stack.
@@ -295,11 +285,11 @@ def optimize_sum_rate(
         start = np.broadcast_to(np.asarray(initial, dtype=np.complex128), stack + (users, antennas))
         fast = power_project(np.ascontiguousarray(start))
     slow = fast
-    uniform = np.full(users, 1.0 / users)
+    step_size = cfg.step_size / users
 
     def rate_and_gradient(w):
         if cfg.gradient == "analytic":
-            return _rate_and_gradient(w, h_true, noise_power, uniform)
+            return _rate_and_gradient(w, h_true, noise_power)
         return sum_rate(w, h_true, noise_power), None  # the gradient is taken when stepping
 
     best_rate, grad = rate_and_gradient(fast)
@@ -308,7 +298,7 @@ def optimize_sum_rate(
     for step in range(1, cfg.iterations + 1):
         if grad is None:
             grad = finite_difference_gradient(fast, h_true, noise_power)
-        fast = power_project(fast + cfg.step_size * grad)
+        fast = power_project(fast + step_size * grad)
         if step % _LOOKAHEAD_EVERY == 0:
             slow = lookahead_update(slow, fast, _LOOKAHEAD_COEFF)
             fast = slow.copy()
@@ -321,6 +311,7 @@ def optimize_sum_rate(
 
 
 def sweep_optimizer_config(iterations: int = 100) -> OptimizerConfig:
-    """Optimizer settings used by the benchmark sweep: analytic gradient
-    for tractable batch sizes, otherwise the standard defaults."""
+    """Optimizer settings of the benchmark sweep and the `beamform`
+    command: `iterations` steps of the analytic gradient at the default
+    step size."""
     return OptimizerConfig(iterations=iterations, gradient="analytic")

@@ -133,6 +133,13 @@ def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerC
     raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
 
 
+def pilot_and_target(symbols: int, subcarriers: int) -> tuple:
+    """The protocol's (symbol indices, subcarrier indices): the pilot at
+    the first symbol and the target at the last, both at the centre
+    subcarrier."""
+    return (0, symbols - 1), (subcarriers // 2,)
+
+
 def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
     """Rates (R,) and SINRs (R, users) per method for one (velocity,
     SNR) cell, plus the number of resampled draws.
@@ -144,8 +151,7 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
     """
     ofdm = OfdmConfig()
     doppler = DopplerConfig(velocity_mps=velocity_range)
-    # the pilot (first symbol) and the target (last symbol), centre subcarrier
-    points = ((0, ofdm.symbols - 1), (ofdm.subcarriers // 2,))
+    points = pilot_and_target(ofdm.symbols, ofdm.subcarriers)
     shape = (config.realizations, config.rx_antennas, config.users)
     estimate = np.empty(shape, dtype=np.complex128)
     target = np.empty(shape, dtype=np.complex128)

@@ -192,6 +192,8 @@ def generate_channel_batch(
     reproducible and order-independent."""
     if realizations < 1:
         raise ValueError("need at least one realization")
+    if antennas < 1 or users < 1:
+        raise ValueError("antennas and users must be >= 1")
     out = np.empty(
         (realizations, ofdm.symbols, ofdm.subcarriers, antennas, users), dtype=np.complex128
     )
@@ -235,8 +237,8 @@ def write_channel_file(path, batch: np.ndarray, seed: int) -> None:
     realizations, seed) followed by the complex128 tensor as
     little-endian interleaved real/imag float64 in C order."""
     arr = np.ascontiguousarray(batch, dtype=np.complex128)
-    if arr.ndim != 5:
-        raise ValueError("batch must have shape (R, L, K, M, N)")
+    if arr.ndim != 5 or 0 in arr.shape:
+        raise ValueError("batch must have shape (R, L, K, M, N) with every axis >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0 for the file header")
     r, sym, sub, m, n = arr.shape
@@ -248,7 +250,8 @@ def write_channel_file(path, batch: np.ndarray, seed: int) -> None:
 
 def read_channel_file(path):
     """Inverse of `write_channel_file`; returns (batch, header dict).
-    The payload must be exactly the size the header declares."""
+    Every axis must be >= 1 and the payload exactly the size the header
+    declares."""
     with open(path, "rb") as fh:
         raw = fh.read(64)
         if len(raw) != 64:
@@ -258,6 +261,8 @@ def read_channel_file(path):
             raise ValueError("not a channel file (bad magic)")
         if version != CHANNEL_FILE_VERSION:
             raise ValueError(f"unsupported channel file version {version}")
+        if 0 in (sym, sub, m, n, r):
+            raise ValueError("channel file declares an empty axis")
         count = r * sym * sub * m * n
         payload = fh.read()
     expected = 16 * count

@@ -22,8 +22,8 @@ import numpy as np
 from . import _buildinfo
 from .attention import EmbeddingBlock, attended_keys_histogram, dense_masked_oracle, gradient_check, sparse_attention_forward
 from .beamforming import sinr, sum_rate, sweep_optimizer_config
-from .bench import KNOWN_METHODS, SweepConfig, combiner, export_report, run_sweep
-from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, write_channel_file
+from .bench import KNOWN_METHODS, SweepConfig, combiner, export_report, pilot_and_target, run_sweep
+from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, read_channel_file, write_channel_file
 from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
 from .masks import DEFAULT_TOKEN_CAP, GridSpec, build_doppler_masks, build_fixed_strided_masks
@@ -153,7 +153,7 @@ def _cmd_attn_check(args) -> int:
 def _cmd_histogram(args) -> int:
     grid = _grid_from(args)
     masks = build_doppler_masks(grid)
-    report = attended_keys_histogram(masks, samples=args.samples)
+    report = attended_keys_histogram(masks)
     lines = ["head,row_length,query_count"]
     for head, length, count in report.to_rows():
         lines.append(f"{head},{length},{count}")
@@ -185,26 +185,29 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_beamform(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    batch, meta = read_channel_file(args.channel)
+    symbols, subcarriers = pilot_and_target(meta["symbols"], meta["subcarriers"])
+    pilot, target = batch[:, symbols, subcarriers].swapaxes(0, 1)
+    estimate = np.stack([add_estimation_error(h, args.est_snr_db, (args.seed, r)) for r, h in enumerate(pilot)])
     sigma2 = 10.0 ** (-args.snr_db / 10.0)
-    header = ["realization", "method", "snr_db", "sum_rate_bpshz"]
-    header += [f"per_ue_sinr_db_{k}" for k in range(args.n)]
-    lines = [",".join(header)]
     opt_cfg = sweep_optimizer_config(iterations=args.opt_iterations)
-    for r in range(args.realizations):
-        h = (rng.standard_normal((args.m, args.n)) + 1j * rng.standard_normal((args.m, args.n))) / np.sqrt(2.0)
-        estimate = add_estimation_error(h, args.est_snr_db, (args.seed, r))
+    scores = {}
+    for method in args.method:
+        w = combiner(method, estimate, target, sigma2, opt_cfg)
+        scores[method] = sum_rate(w, target, sigma2), sinr(w, target, sigma2)
+    header = ["realization", "method", "snr_db", "sum_rate_bpshz"]
+    header += [f"per_ue_sinr_db_{k}" for k in range(meta["users"])]
+    lines = [",".join(header)]
+    for r in range(meta["realizations"]):
         for method in args.method:
-            w = combiner(method, estimate, h, sigma2, opt_cfg)
-            rate = sum_rate(w, h, sigma2)
-            gammas = sinr(w, h, sigma2)
-            sinr_db = ",".join(format(10.0 * np.log10(g), ".12g") for g in gammas)
-            lines.append(f"{r},{method},{format(args.snr_db, '.12g')},{format(rate, '.12g')},{sinr_db}")
+            rates, gammas = scores[method]
+            sinr_db = ",".join(format(10.0 * np.log10(g), ".12g") for g in gammas[r])
+            lines.append(f"{r},{method},{format(args.snr_db, '.12g')},{format(rates[r], '.12g')},{sinr_db}")
     payload = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
-        _say(args, f"wrote {args.csv} ({args.realizations} realizations)")
+        _say(args, f"wrote {args.csv} ({meta['realizations']} realizations)")
     else:
         print(payload, end="")
     return 0
@@ -274,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histogram", help="attended-keys-per-query histogram as CSV")
     _add_common(p)
     _add_grid_args(p)
-    p.add_argument("--samples", type=int, default=16)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_histogram)
 
@@ -295,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_channel)
 
-    p = sub.add_parser("beamform", help="per-realization beamformer rates on Rayleigh draws")
+    p = sub.add_parser("beamform", help="per-realization beamformer rates on a channel file's realizations")
     _add_common(p)
+    p.add_argument("--channel", required=True, help="file written by `sparsebeam channel`")
     p.add_argument("--method", action="append", choices=KNOWN_METHODS, required=True)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--est-snr-db", type=float, default=float("inf"))
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--realizations", type=int, default=10)
     p.add_argument("--opt-iterations", type=int, default=100)
     p.add_argument("--csv")
     p.set_defaults(handler=_cmd_beamform)

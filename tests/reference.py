@@ -145,8 +145,9 @@ def softmax_rows_reference(scores, allowed):
 def optimize_reference(channel_est, channel_true, noise_power, config, initial=None):
     """`optimize_sum_rate` on one channel matrix by the literal per-matrix
     ascent loop: start from `initial` or the projected MMSE combiner of
-    the estimate, step, project, absorb the lookahead (every 13 steps,
-    coefficient 0.5), and keep the best iterate seen."""
+    the estimate, step by `step_size / users` times the gradient,
+    project, absorb the lookahead (every 13 steps, coefficient 0.5), and
+    keep the best iterate seen."""
     from sparsebeam.beamforming import (
         OptimizeResult,
         _rate_and_gradient,
@@ -159,7 +160,6 @@ def optimize_reference(channel_est, channel_true, noise_power, config, initial=N
 
     h_true = np.asarray(channel_true, dtype=np.complex128)
     users = h_true.shape[1]
-    alpha = np.full(users, 1.0 / users)
     if initial is not None:
         fast = power_project(np.asarray(initial, dtype=np.complex128))
     else:
@@ -171,10 +171,10 @@ def optimize_reference(channel_est, channel_true, noise_power, config, initial=N
     trace = [best_rate]
     for step in range(1, config.iterations + 1):
         if config.gradient == "analytic":
-            grad = _rate_and_gradient(fast, h_true, noise_power, alpha)[1]
+            grad = _rate_and_gradient(fast, h_true, noise_power)[1]
         else:
             grad = finite_difference_gradient(fast, h_true, noise_power)
-        fast = power_project(fast + config.step_size * grad)
+        fast = power_project(fast + (config.step_size / users) * grad)
         if step % 13 == 0:
             slow = lookahead_update(slow, fast, 0.5)
             fast = slow.copy()

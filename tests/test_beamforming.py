@@ -119,34 +119,49 @@ class TestSinr:
 
 class TestSumRate:
     def test_unit_sinr_gives_one_bit(self):
-        assert sum_rate(np.eye(2), np.eye(2), 1.0) == pytest.approx(1.0, abs=1e-12)
+        # one bit per user: SINR 1 for each of the two users
+        assert sum_rate(np.eye(2), np.eye(2), 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_coupling_zero_rate(self):
         w = np.zeros((2, 4), dtype=complex)
         h = rayleigh(4, 2, 1)
         assert sum_rate(w, h, 1.0) == 0.0
 
-    def test_degenerate_weighting_selects_single_user(self):
-        h = rayleigh(8, 2, 7)
-        w = power_project(mmse_combiner(h, 0.3))
-        gammas = sinr(w, h, 0.3)
-        rate = sum_rate(w, h, 0.3, weights=[1.0, 0.0])
-        assert rate == pytest.approx(np.log2(1 + gammas[0]), rel=1e-12)
-
     def test_permutation_invariance(self):
         h = rayleigh(8, 3, 8)
         w = power_project(mmse_combiner(h, 0.2))
-        alpha = np.array([0.5, 0.3, 0.2])
         perm = np.array([2, 0, 1])
-        base = sum_rate(w, h, 0.2, weights=alpha)
-        permuted = sum_rate(w[perm], h[:, perm], 0.2, weights=alpha[perm])
+        base = sum_rate(w, h, 0.2)
+        permuted = sum_rate(w[perm], h[:, perm], 0.2)
         assert permuted == pytest.approx(base, rel=1e-12)
 
-    def test_weights_validated(self):
-        h = rayleigh(4, 2, 2)
-        w = mmse_combiner(h, 1.0)
-        with pytest.raises(ValueError):
-            sum_rate(w, h, 1.0, weights=[0.7, 0.7])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        users=st.integers(1, 4),
+        extra_antennas=st.integers(0, 4),
+        noise=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sum_of_per_user_rates(self, stack, users, extra_antennas, noise, seed):
+        # the oracle: log2(1 + SINR_k) summed over the users, per entry
+        antennas = users + extra_antennas
+        rng = np.random.default_rng(seed)
+        shape = stack + (antennas, users)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = power_project(mmse_combiner(h + 0.3 * rng.standard_normal(shape), noise))
+        rate = sum_rate(w, h, noise)
+        expected = np.log2(1 + sinr(w, h, noise)).sum(-1)
+        assert np.shape(rate) == stack
+        np.testing.assert_allclose(rate, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 2), (3, 0, 2), (3, 4, 0)])
+    def test_empty_antenna_or_user_axis_rejected(self, shape):
+        h = np.zeros(shape, dtype=complex)
+        w = h.swapaxes(-1, -2)
+        for call in (lambda: sum_rate(w, h, 1.0), lambda: sinr(w, h, 1.0), lambda: mmse_combiner(h, 1.0)):
+            with pytest.raises(ValueError, match="at least one antenna and one user"):
+                call()
 
 
 class TestPowerProject:

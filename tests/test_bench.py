@@ -90,6 +90,12 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="finite"):
                 SweepConfig(snr_db_list=(0.0, snr))
 
+    @pytest.mark.parametrize("axis", ["rx_antennas", "users"])
+    def test_empty_antenna_or_user_axis_rejected(self, axis):
+        config = SweepConfig(snr_db_list=(10.0,), velocity_ranges=((0.0, 10.0),), realizations=2, **{axis: 0})
+        with pytest.raises(ValueError, match="at least one antenna and one user"):
+            run_sweep(config, timestamp="t")
+
 
 def _as_dicts(points):
     return [p.to_json_dict() for p in points]
@@ -181,6 +187,76 @@ class TestExportReport:
         payload = small_result.to_json_dict()["metadata"]
         assert payload["seed"] == 123
         assert payload["version"] and payload["build"]
+
+    def test_package_metadata_reads_the_one_version(self):
+        import warnings
+
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        import sparsebeam
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools flags its [tool.setuptools] table as beta
+            project = read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")["project"]
+        assert project["version"] == sparsebeam.__version__
+
+
+# (method, v_min, snr_db) -> (mean_sum_rate, stderr) of
+# run_sweep(SweepConfig(realizations=8, seed=5)) under sparsebeam 0.1.0,
+# whose rate was the per-user mean of the two users' rates.
+PER_USER_MEAN_LOCK = {
+    ('zf', 0.0, -10.0): (0.6922229546692766, 0.08102219395743286),
+    ('mmse', 0.0, -10.0): (0.7578422925632298, 0.06821221851258735),
+    ('opt', 0.0, -10.0): (0.7664369232393476, 0.068123512559027),
+    ('zf', 0.0, -5.0): (1.7206086740403013, 0.03399113058370343),
+    ('mmse', 0.0, -5.0): (1.764076183897768, 0.026728233446225616),
+    ('opt', 0.0, -5.0): (1.7814688568930224, 0.027280223395379843),
+    ('zf', 0.0, 0.0): (3.161460950855189, 0.10822240341344831),
+    ('mmse', 0.0, 0.0): (3.1716628267938063, 0.10746852319390061),
+    ('opt', 0.0, 0.0): (3.1907758404332798, 0.10718870841478437),
+    ('zf', 0.0, 5.0): (4.234205093981412, 0.1864267664636077),
+    ('mmse', 0.0, 5.0): (4.271353633191295, 0.17062113612760985),
+    ('opt', 0.0, 5.0): (4.333214078854553, 0.17732750336372993),
+    ('zf', 0.0, 10.0): (5.86730582316698, 0.1735947852512799),
+    ('mmse', 0.0, 10.0): (5.872453535435869, 0.17418880343481935),
+    ('opt', 0.0, 10.0): (5.984794158550422, 0.12105648889006808),
+    ('zf', 0.0, 15.0): (7.456151793564664, 0.1491805440320202),
+    ('mmse', 0.0, 15.0): (7.460673916142942, 0.1494746634502502),
+    ('opt', 0.0, 15.0): (7.582891214394149, 0.12633577230751405),
+    ('zf', 0.0, 20.0): (8.416098979631625, 0.34400444334988306),
+    ('mmse', 0.0, 20.0): (8.412283174367028, 0.34566120481133233),
+    ('opt', 0.0, 20.0): (8.589968926292581, 0.3377881261114386),
+    ('zf', 30.0, -10.0): (0.5417974945587215, 0.057934163927931985),
+    ('mmse', 30.0, -10.0): (0.5650503800578355, 0.06075166311105953),
+    ('opt', 30.0, -10.0): (0.7918653841979411, 0.05342234666490376),
+    ('zf', 30.0, -5.0): (1.2196554412112923, 0.12506976903976227),
+    ('mmse', 30.0, -5.0): (1.231647876749796, 0.1227406864635511),
+    ('opt', 30.0, -5.0): (1.6415187702023157, 0.08636490028319505),
+    ('zf', 30.0, 0.0): (1.9939857859193428, 0.12796028321642222),
+    ('mmse', 30.0, 0.0): (2.0218097787005367, 0.12002063592815627),
+    ('opt', 30.0, 0.0): (2.6988987559653417, 0.08581686489665713),
+    ('zf', 30.0, 5.0): (2.958993529372502, 0.1329577166584739),
+    ('mmse', 30.0, 5.0): (2.960420684764515, 0.1335686261401065),
+    ('opt', 30.0, 5.0): (4.496466742468578, 0.11101375160338584),
+    ('zf', 30.0, 10.0): (3.702790420589615, 0.3716210483186489),
+    ('mmse', 30.0, 10.0): (3.716143585896362, 0.3719055344234889),
+    ('opt', 30.0, 10.0): (5.88666914128498, 0.14388332466871903),
+    ('zf', 30.0, 15.0): (4.688354800206162, 0.3823369438253337),
+    ('mmse', 30.0, 15.0): (4.687571723925153, 0.38183383511120333),
+    ('opt', 30.0, 15.0): (7.429933611588275, 0.17096448999592703),
+    ('zf', 30.0, 20.0): (4.353003100913507, 0.4084374046955877),
+    ('mmse', 30.0, 20.0): (4.351985152429986, 0.40873058160974973),
+    ('opt', 30.0, 20.0): (8.316730411769667, 0.21031979495374756),
+}
+
+
+class TestSumRateLock:
+    def test_two_user_sweep_is_exactly_twice_the_per_user_mean(self):
+        points = run_sweep(SweepConfig(realizations=8, seed=5), timestamp="t").points
+        assert len(points) == len(PER_USER_MEAN_LOCK)
+        for p in points:
+            mean_rate, stderr = PER_USER_MEAN_LOCK[(p.method, p.v_min, p.snr_db)]
+            assert (p.mean_sum_rate, p.stderr) == (2 * mean_rate, 2 * stderr), (p.method, p.v_min, p.snr_db)
 
 
 class TestBenchmarkContract:

@@ -1,7 +1,11 @@
 """Doppler/fading statistics against closed-form oracles."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from sparsebeam import (
@@ -303,8 +307,6 @@ class TestChannelFile:
         }
 
     def test_header_layout(self, tmp_path):
-        import struct
-
         from sparsebeam.channel import CHANNEL_FILE_MAGIC
 
         batch = np.zeros((1, 1, 1, 1, 1), dtype=complex)
@@ -328,3 +330,47 @@ class TestChannelFile:
         path.write_bytes(path.read_bytes()[:64] + b"\x00" * size)
         with pytest.raises(ValueError, match=f"payload is {size} bytes"):
             read_channel_file(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(*[st.integers(1, 3)] * 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data, shape, seed):
+        size = int(np.prod(shape))
+        parts = data.draw(st.lists(st.floats(width=64), min_size=2 * size, max_size=2 * size))
+        batch = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
+        path = tmp_path_factory.mktemp("channel") / "c.bin"
+        write_channel_file(path, batch, seed=seed)
+        loaded, meta = read_channel_file(path)
+        assert loaded.dtype == np.complex128 and loaded.shape == shape
+        assert loaded.tobytes() == batch.tobytes()
+        r, sym, sub, m, n = shape
+        assert meta == {"symbols": sym, "subcarriers": sub, "antennas": m, "users": n, "realizations": r, "seed": seed}
+
+    @pytest.mark.parametrize("axis", range(5))
+    def test_empty_axis_rejected_on_write(self, tmp_path, axis):
+        shape = [1, 1, 1, 1, 1]
+        shape[axis] = 0
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError, match="every axis >= 1"):
+            write_channel_file(path, np.zeros(shape, dtype=complex), seed=0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("axis", range(5))
+    def test_empty_axis_rejected_on_read(self, tmp_path, axis):
+        from sparsebeam.channel import CHANNEL_FILE_MAGIC
+
+        dims = [1, 1, 1, 1, 1]  # symbols, subcarriers, antennas, users, realizations
+        dims[axis] = 0
+        path = tmp_path / "c.bin"
+        path.write_bytes(struct.pack("<8Q", CHANNEL_FILE_MAGIC, 1, *dims, 0))
+        with pytest.raises(ValueError, match="empty axis"):
+            read_channel_file(path)
+
+    @pytest.mark.parametrize("antennas, users", [(0, 2), (2, 0)])
+    def test_batch_needs_antennas_and_users(self, antennas, users):
+        ofdm = OfdmConfig(symbols=2, subcarriers=3)
+        with pytest.raises(ValueError, match="antennas and users must be >= 1"):
+            generate_channel_batch(ofdm, DopplerConfig(), antennas, users, 1, seed=0)

@@ -2,10 +2,37 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from sparsebeam import SparseMaskSet, read_channel_file
+from sparsebeam import (
+    DopplerConfig,
+    OfdmConfig,
+    SparseMaskSet,
+    add_estimation_error,
+    generate_channel_batch,
+    mmse_combiner,
+    optimize_sum_rate,
+    power_project,
+    read_channel_file,
+    sinr,
+    sum_rate,
+    sweep_optimizer_config,
+    write_channel_file,
+    zf_combiner,
+)
 from sparsebeam.cli import _subcommands, build_parser, cli_dispatch, load_config_file
+
+CHANNEL = "<channel file>"  # stands for the `channel_file` fixture's path in a command
+
+
+@pytest.fixture(scope="module")
+def channel_file(tmp_path_factory):
+    """Four realizations of an 8-antenna, 2-user, 2x12 slot at 30-40 m/s."""
+    batch = generate_channel_batch(OfdmConfig(symbols=2, subcarriers=12), DopplerConfig(velocity_mps=(30.0, 40.0)), 8, 2, 4, 7)
+    path = tmp_path_factory.mktemp("channel") / "channels.bin"
+    write_channel_file(path, batch, 7)
+    return path
 
 
 class TestExitCodes:
@@ -93,14 +120,13 @@ class TestAttnCheckCommand:
 class TestHistogramCommand:
     def test_csv_matches_canonical_distribution(self, tmp_path):
         out = tmp_path / "hist.csv"
-        code = cli_dispatch(["histogram", "--L", "14", "--K", "48", "--samples", "16",
-                             "--out", str(out), "--quiet"])
+        code = cli_dispatch(["histogram", "--L", "14", "--K", "48", "--out", str(out), "--quiet"])
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "head,row_length,query_count"
         rows = {tuple(map(int, line.split(","))) for line in lines[1:]}
-        assert (0, 26, 16 * 572) in rows
-        assert (0, 25, 16 * 100) in rows
+        assert (0, 26, 572) in rows
+        assert (0, 25, 100) in rows
 
 
 class TestChannelCommand:
@@ -113,6 +139,14 @@ class TestChannelCommand:
         batch, meta = read_channel_file(out)
         assert batch.shape == (3, 2, 12, 2, 1)
         assert meta["seed"] == 5
+
+    @pytest.mark.parametrize("flags", [["--m", "0", "--n", "2"], ["--m", "2", "--n", "0"]])
+    def test_empty_antenna_or_user_axis_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "c.bin"
+        code = cli_dispatch(["channel", *flags, "--rb", "1", "--symbols", "2", "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "antennas and users must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_resource_blocks_rejected(self, tmp_path, capsys):
         assert cli_dispatch(["channel", "--rb", "0", "--out", str(tmp_path / "c.bin"), "--quiet"]) == 1
@@ -139,37 +173,74 @@ class TestChannelCommand:
 
 
 class TestBeamformCommand:
-    def test_csv_columns(self, tmp_path):
+    def test_csv_columns(self, tmp_path, channel_file):
         out = tmp_path / "rates.csv"
-        code = cli_dispatch(["beamform", "--method", "zf", "--method", "mmse", "--snr-db", "10",
-                             "--realizations", "4", "--csv", str(out), "--quiet"])
+        code = cli_dispatch(["beamform", "--channel", str(channel_file), "--method", "zf", "--method", "mmse",
+                             "--snr-db", "10", "--csv", str(out), "--quiet"])
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "realization,method,snr_db,sum_rate_bpshz,per_ue_sinr_db_0,per_ue_sinr_db_1"
         assert len(lines) == 1 + 4 * 2
 
-    def test_deterministic(self, tmp_path):
+    def test_deterministic(self, tmp_path, channel_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            assert cli_dispatch(["beamform", "--method", "opt", "--realizations", "2",
+            assert cli_dispatch(["beamform", "--channel", str(channel_file), "--method", "opt", "--est-snr-db", "10",
                                  "--opt-iterations", "5", "--csv", str(path), "--quiet"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("method", ["zf", "mmse", "opt"])
-    def test_nan_snr_rejected(self, tmp_path, capsys, method):
+    def test_nan_snr_rejected(self, tmp_path, capsys, channel_file, method):
         out = tmp_path / "rates.csv"
-        code = cli_dispatch(["beamform", "--method", method, "--snr-db", "nan", "--realizations", "2",
+        code = cli_dispatch(["beamform", "--channel", str(channel_file), "--method", method, "--snr-db", "nan",
                              "--opt-iterations", "2", "--csv", str(out), "--quiet"])
         assert code == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinite_snr_is_noiseless(self, tmp_path, capsys):
+    def test_infinite_snr_is_noiseless(self, tmp_path, capsys, channel_file):
         # noise power 0: ZF and MMSE coincide; the optimizer needs noise
         out = tmp_path / "rates.csv"
         for method, expected in (("zf", 0), ("mmse", 0), ("opt", 1)):
-            assert cli_dispatch(["beamform", "--method", method, "--snr-db", "inf", "--realizations", "2",
+            assert cli_dispatch(["beamform", "--channel", str(channel_file), "--method", method, "--snr-db", "inf",
                                  "--csv", str(out), "--quiet"]) == expected
+
+    def test_scores_the_files_pilot_and_target(self, tmp_path):
+        # `channel` then `beamform`: each row equals the library combiner
+        # built from symbol 0 (plus the (seed, r) estimation error) and
+        # scored at the last symbol, both at the centre subcarrier
+        path, out = tmp_path / "c.bin", tmp_path / "rates.csv"
+        assert cli_dispatch(["channel", "--rb", "1", "--symbols", "4", "--realizations", "3", "--m", "4", "--n", "2",
+                             "--v-min", "30", "--v-max", "40", "--seed", "9", "--out", str(path), "--quiet"]) == 0
+        assert cli_dispatch(["beamform", "--channel", str(path), "--method", "zf", "--method", "mmse", "--method", "opt",
+                             "--snr-db", "5", "--est-snr-db", "10", "--opt-iterations", "7", "--seed", "3",
+                             "--csv", str(out), "--quiet"]) == 0
+        batch, _ = read_channel_file(path)
+        pilot, target = batch[:, 0, 6], batch[:, 3, 6]
+        sigma2 = 10.0 ** (-5.0 / 10.0)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(row[0]), row[1]) for row in rows] == [(r, m) for r in range(3) for m in ("zf", "mmse", "opt")]
+        for row in rows:
+            r = int(row[0])
+            est = add_estimation_error(pilot[r], 10.0, (3, r))
+            if row[1] == "zf":
+                w = power_project(zf_combiner(est))
+            elif row[1] == "mmse":
+                w = power_project(mmse_combiner(est, sigma2))
+            else:
+                w = optimize_sum_rate(est, target[r], sigma2, sweep_optimizer_config(7)).combiner
+            assert row[3] == format(sum_rate(w, target[r], sigma2), ".12g")
+            assert row[4:] == [format(10.0 * np.log10(g), ".12g") for g in sinr(w, target[r], sigma2)]
+
+    def test_missing_channel_flag_is_usage_error(self, capsys):
+        assert cli_dispatch(["beamform", "--method", "zf"]) == 2
+        assert "--channel" in capsys.readouterr().err
+
+    def test_bad_channel_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"\x00" * 80)
+        assert cli_dispatch(["beamform", "--channel", str(path), "--method", "zf", "--quiet"]) == 1
+        assert "bad magic" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -198,15 +269,15 @@ class TestSweepCommand:
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("L = 2\nK = 3\nlambda = 2.0\nsamples = 4  # comment\n")
+        conf.write_text("L = 2\nK = 3\nlambda = 2.0  # comment\n")
         out = tmp_path / "hist.csv"
-        code = cli_dispatch(["histogram", "--config", str(conf), "--samples", "2",
+        code = cli_dispatch(["histogram", "--config", str(conf), "--K", "5",
                              "--out", str(out), "--quiet"])
         assert code == 0
         lines = out.read_text().strip().split("\n")
-        # grid 2x3 from config, --samples flag wins over config's 4
+        # L = 2 from config, --K flag wins over config's 3
         total = sum(int(line.split(",")[2]) for line in lines[1:] if line.split(",")[0] == "0")
-        assert total == 2 * 6
+        assert total == 2 * 5
 
     def test_parser(self, tmp_path):
         conf = tmp_path / "c.conf"
@@ -250,7 +321,7 @@ class TestConfigFile:
 
     def test_key_of_another_subcommand_accepted(self, tmp_path, capsys):
         conf = tmp_path / "shared.conf"
-        conf.write_text("L = 2\nK = 3\nsamples = 1\nv_min = 1.0\nopt_iterations = 5\n")
+        conf.write_text("L = 2\nK = 3\nheads = 1\nv_min = 1.0\nopt_iterations = 5\n")
         assert cli_dispatch(["histogram", "--config", str(conf), "--quiet"]) == 0
 
 
@@ -275,9 +346,9 @@ class TestConfigParsedLikeFlags:
             (["masks", "--L", "2", "--K", "3"], "lambda = 4", ["--lambda", "4"], "--out", 0),
             (["masks", "--L", "2", "--K", "3"], "time_bias = 4", ["--lambda", "4"], "--out", 0),
             (["masks", "--L", "2", "--K", "3"], "heads = 0", ["--heads", "0"], "--out", 1),
-            (["beamform", "--realizations", "2"], "method = zf", ["--method", "zf"], "--csv", 0),
-            (["beamform", "--realizations", "2", "--method", "mmse"], "method = zf", [], "--csv", 0),
-            (["beamform", "--realizations", "2", "--meth", "mmse"], "method = zf", [], "--csv", 0),
+            (["beamform", "--channel", CHANNEL], "method = zf", ["--method", "zf"], "--csv", 0),
+            (["beamform", "--channel", CHANNEL, "--method", "mmse"], "method = zf", [], "--csv", 0),
+            (["beamform", "--channel", CHANNEL, "--meth", "mmse"], "method = zf", [], "--csv", 0),
             (["masks", "--L", "2", "--K", "3"], "quiet = no", ["--quiet", "no"], "--out", 2),
             (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = true", ["--causal"], "--out", 0),
             (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = False", [], "--out", 0),
@@ -292,7 +363,8 @@ class TestConfigParsedLikeFlags:
              "snr-list-not-numbers", "snr-list-empty", "method-list-unknown", "method-list-empty",
              "method-list-repeated"],
     )
-    def test_config_equals_flag(self, tmp_path, capsys, command, entry, flags, out_flag, expected):
+    def test_config_equals_flag(self, tmp_path, capsys, channel_file, command, entry, flags, out_flag, expected):
+        command = [str(channel_file) if token == CHANNEL else token for token in command]
         conf = tmp_path / "run.conf"
         conf.write_text(entry + "\n")
         via_config = _run_to_file([*command, "--config", str(conf)], out_flag, tmp_path / "config.out")
