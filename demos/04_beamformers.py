@@ -48,7 +48,7 @@ print("=== 4. Single user: the matched filter bound is reachable ===")
 h1 = rayleigh(8, 1, 3)
 sigma2 = 0.1
 bound = np.log2(1 + float((np.abs(h1) ** 2).sum()) / sigma2)
-result = optimize_sum_rate(h1, h1, sigma2, OptimizerConfig(iterations=100))
+result = optimize_sum_rate(h1, h1, sigma2, OptimizerConfig(iterations=100, gradient="fd"))
 print(f"closed form log2(1 + ||h||^2 / sigma^2) = {bound:.6f}")
 print(f"projected gradient ascent reaches        {result.rate:.6f}")
 

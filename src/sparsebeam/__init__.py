@@ -29,7 +29,6 @@ from .beamforming import (
     sinr,
     sum_rate,
     sum_rate_gradient,
-    sweep_optimizer_config,
     zf_combiner,
 )
 from .bench import SweepConfig, SweepPoint, SweepResult, export_report, load_report_json, run_sweep

@@ -31,7 +31,6 @@ from .beamforming import (
     power_project,
     sinr,
     sum_rate,
-    sweep_optimizer_config,
     zf_combiner,
 )
 from .channel import DopplerConfig, OfdmConfig, _generate_true, add_estimation_error
@@ -55,7 +54,7 @@ class SweepConfig:
     est_snr_db: float = math.inf
     methods: tuple = KNOWN_METHODS
     seed: int = 0
-    optimizer: OptimizerConfig = field(default_factory=lambda: sweep_optimizer_config())
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
         if not self.snr_db_list or not self.velocity_ranges:

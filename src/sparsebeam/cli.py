@@ -21,12 +21,16 @@ import numpy as np
 
 from . import _buildinfo
 from .attention import EmbeddingBlock, attended_keys_histogram, dense_masked_oracle, gradient_check, sparse_attention_forward
-from .beamforming import sinr, sum_rate, sweep_optimizer_config
+from .beamforming import OptimizerConfig, sinr, sum_rate
 from .bench import KNOWN_METHODS, SweepConfig, combiner, export_report, pilot_and_target, run_sweep
 from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, read_channel_file, write_channel_file
 from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
 from .masks import DEFAULT_TOKEN_CAP, GridSpec, build_doppler_masks, build_fixed_strided_masks
+
+# attn-check gates: the acceptance suite's kernel tolerances
+_FORWARD_TOL = 1e-6
+_GRADIENT_TOL = 1e-5
 
 
 def load_config_file(path) -> dict:
@@ -144,7 +148,7 @@ def _cmd_attn_check(args) -> int:
         worst_grad = max(worst_grad, gradient_check(block, masks))
     _say(args, f"max forward deviation vs dense oracle: {worst_forward:.3e}")
     _say(args, f"max gradient relative error: {worst_grad:.3e}")
-    if worst_forward > args.tol_forward or worst_grad > args.tol_grad:
+    if worst_forward > _FORWARD_TOL or worst_grad > _GRADIENT_TOL:
         _say(args, "attention check FAILED")
         return 1
     return 0
@@ -190,10 +194,14 @@ def _cmd_beamform(args) -> int:
     pilot, target = batch[:, symbols, subcarriers].swapaxes(0, 1)
     estimate = np.stack([add_estimation_error(h, args.est_snr_db, (args.seed, r)) for r, h in enumerate(pilot)])
     sigma2 = 10.0 ** (-args.snr_db / 10.0)
-    opt_cfg = sweep_optimizer_config(iterations=args.opt_iterations)
+    opt_cfg = OptimizerConfig(iterations=args.opt_iterations)
     scores = {}
     for method in args.method:
-        w = combiner(method, estimate, target, sigma2, opt_cfg)
+        try:
+            w = combiner(method, estimate, target, sigma2, opt_cfg)
+        except SingularChannelError as exc:
+            bad = np.flatnonzero(exc.singular).tolist()
+            raise SingularChannelError(f"{exc}: {method} on realization(s) {bad} of {args.channel}", exc.singular) from exc
         scores[method] = sum_rate(w, target, sigma2), sinr(w, target, sigma2)
     header = ["realization", "method", "snr_db", "sum_rate_bpshz"]
     header += [f"per_ue_sinr_db_{k}" for k in range(meta["users"])]
@@ -225,7 +233,7 @@ def _cmd_sweep(args) -> int:
         overrides["est_snr_db"] = args.est_snr_db
     config = SweepConfig(
         seed=args.seed,
-        optimizer=sweep_optimizer_config(iterations=args.opt_iterations),
+        optimizer=OptimizerConfig(iterations=args.opt_iterations),
         **overrides,
     )
     progress = None if args.quiet else (lambda vr, snr: print(f"  velocity {vr} snr {snr} dB done"))
@@ -270,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--grad-trials", type=int, default=3)
     p.add_argument("--model-dim", type=int, default=8)
-    p.add_argument("--tol-forward", type=float, default=1e-6)
-    p.add_argument("--tol-grad", type=float, default=1e-5)
     p.set_defaults(handler=_cmd_attn_check)
 
     p = sub.add_parser("histogram", help="attended-keys-per-query histogram as CSV")

@@ -11,12 +11,14 @@ The search packs the union graph into a (tokens, ceil(tokens/64))
 uint64 bit matrix and runs level-synchronous BFS for a chunk of
 searches at once, each search's visited set held as one bit row.
 Sources with the same out-row have the same distances to every other
-node, so `hop_diameter` groups its sources by exact row equality and
-runs one search per row class, seeded with the shared out-row at level
-1; a lone source's own entry is then reset to 0.  Chunks are sized so
-that one level's gathered out-rows stay near 1 MB, the peak working set
-beyond the bit matrix itself, and each chunk is reduced to its maximum
-and its witnesses before the next one runs.
+node, so `hop_diameter` groups every row by exact equality, keeps the
+classes that hold a source (all tokens, or the sampled ones), and runs
+one search per class, seeded with the shared out-row at level 1; a
+lone source's own entry is then reset to 0.  Chunks are sized so that
+one level's gathered out-rows stay near 1 MB, the peak working set
+beyond the bit matrix itself.  Each chunk is reduced to its maximum and
+its candidate witness pairs before the next one runs, and the
+candidates of all chunks are sorted once at the end.
 """
 
 from __future__ import annotations
@@ -135,15 +137,6 @@ def _bfs_levels(adj, seeds):
         reach[active] |= fresh
 
 
-def _bfs_distances(indptr, indices, source, tokens):
-    """Hop distances from one source (int64, -1 if unreachable): its
-    out-row seeded at level 1, then d(source, source) = 0."""
-    adj = _adjacency_bits(indptr, indices, tokens)
-    dist = _bfs_levels(adj, adj[[source]])[0]
-    dist[source] = 0
-    return dist
-
-
 def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False):
     """CSR adjacency of the union attention graph.
 
@@ -160,16 +153,11 @@ def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False
 
 def _twin_classes(indptr, indices, sources):
     """`sources` (ascending) grouped by exact out-row equality: class c
-    holds members[bounds[c] : bounds[c + 1]], ascending, and classes are
-    numbered in the order of their smallest source."""
-    if sources.size < indptr.size - 1:
-        # a sample: group the sampled rows only, not every token's
-        lengths = np.diff(indptr)[sources]
-        starts = np.r_[0, np.cumsum(lengths)]
-        indices = indices[np.repeat(indptr[sources] - starts[:-1], lengths) + np.arange(starts[-1])]
-        indptr = starts
-    classes = _group_rows(indptr, indices)[0]
-    return sources[np.argsort(classes, kind="stable")], np.r_[0, np.cumsum(np.bincount(classes))]
+    holds members[bounds[c] : bounds[c + 1]], ascending.  Every row is
+    grouped, sampled or not; classes with no source are dropped."""
+    classes = _group_rows(indptr, indices)[0][sources]
+    counts = np.unique(classes, return_counts=True)[1]
+    return sources[np.argsort(classes, kind="stable")], np.r_[0, np.cumsum(counts)]
 
 
 @dataclass
@@ -247,7 +235,7 @@ def hop_diameter(
     # row of the chunk; size chunks so that stays near _CHUNK_BYTES.
     chunk = max(1, _CHUNK_BYTES // (tokens * adj.shape[1] * adj.itemsize))
     best = 0
-    witnesses: list[tuple[int, int]] = []
+    found: list[tuple[int, int]] = []
     for lo in range(0, firsts.size, chunk):
         hi = min(lo + chunk, firsts.size)
         dist = _bfs_levels(adj, adj[firsts[lo:hi]])
@@ -256,19 +244,15 @@ def hop_diameter(
         lone = np.flatnonzero(np.diff(bounds[lo : hi + 1]) == 1)
         dist[lone, firsts[lo + lone]] = 0
         best = max(best, int(dist.max()))
+        # The first _WITNESS_LIMIT witnesses by source, then target, are
+        # among each class's first _WITNESS_LIMIT + 1 twins and targets:
+        # no source needs more targets than the limit besides itself,
+        # and at most one source of a class can lack a target.
         for r in np.flatnonzero((dist < 0).any(axis=1)):
-            if len(witnesses) == _WITNESS_LIMIT and firsts[lo + r] > witnesses[-1][0]:
-                break
-            # Twin classes interleave in source order, so merge and keep
-            # the first witnesses by source, then target.  Each source
-            # needs at most that many targets other than itself, and at
-            # most one source of a class can lack a target.
             targets = np.flatnonzero(dist[r] < 0)[: _WITNESS_LIMIT + 1].tolist()
             twins = members[bounds[lo + r] : bounds[lo + r + 1]][: _WITNESS_LIMIT + 1].tolist()
-            found = [(i, t) for i in twins for t in targets if t != i]
-            witnesses = sorted(witnesses + found)[:_WITNESS_LIMIT]
-        if len(witnesses) == _WITNESS_LIMIT and hi < firsts.size and firsts[hi] > witnesses[-1][0]:
-            break
+            found += [(i, t) for i in twins for t in targets if t != i]
+    witnesses = sorted(found)[:_WITNESS_LIMIT]
     if witnesses:
         return HopDiameterResult(mode, None, witnesses, source_count=len(sources), sampled=sampled)
     return HopDiameterResult(mode, best, [], source_count=len(sources), sampled=sampled)

@@ -9,6 +9,7 @@ from reference import optimize_reference
 from sparsebeam import (
     OptimizerConfig,
     SingularChannelError,
+    SweepConfig,
     finite_difference_gradient,
     lookahead_update,
     mmse_combiner,
@@ -17,7 +18,6 @@ from sparsebeam import (
     sinr,
     sum_rate,
     sum_rate_gradient,
-    sweep_optimizer_config,
     zf_combiner,
 )
 
@@ -251,7 +251,7 @@ class TestNoisePower:
 class TestOptimizer:
     def test_single_user_hits_matched_filter_bound(self):
         sigma2 = 0.1
-        cfg = OptimizerConfig(iterations=60)
+        cfg = OptimizerConfig(iterations=60, gradient="fd")
         for seed in range(5):
             h = rayleigh(8, 1, seed)
             closed_form = np.log2(1 + (np.abs(h) ** 2).sum() / sigma2)
@@ -274,7 +274,7 @@ class TestOptimizer:
         h = q[:, :2] * np.array([1.3, 0.8])
         sigma2 = 0.2
         zf_rate = sum_rate(power_project(zf_combiner(h)), h, sigma2)
-        result = optimize_sum_rate(h, h, sigma2, OptimizerConfig(iterations=50))
+        result = optimize_sum_rate(h, h, sigma2, OptimizerConfig(iterations=50, gradient="fd"))
         assert result.rate >= zf_rate - 1e-6
         assert abs(result.rate - zf_rate) <= 1e-6
 
@@ -289,7 +289,7 @@ class TestOptimizer:
         sigma2 = 0.1
         h = rayleigh(8, 1, 3)
         optimal = (h.conj().T / np.linalg.norm(h))  # matched filter, unit norm
-        result = optimize_sum_rate(h, h, sigma2, OptimizerConfig(iterations=40), initial=optimal)
+        result = optimize_sum_rate(h, h, sigma2, OptimizerConfig(iterations=40, gradient="fd"), initial=optimal)
         trace = result.trace
         assert (np.diff(trace) >= 0).all()
         assert trace[-1] - trace[0] <= 1e-9
@@ -309,6 +309,10 @@ class TestOptimizer:
         start = sum_rate(power_project(mmse_combiner(est, sigma2)), h, sigma2)
         result = optimize_sum_rate(est, h, sigma2, OptimizerConfig(iterations=300, gradient="analytic", step_size=0.1))
         assert result.rate > start + 0.1
+
+    def test_default_is_the_sweeps_config(self):
+        assert OptimizerConfig() == OptimizerConfig(step_size=0.05, iterations=100, gradient="analytic")
+        assert SweepConfig().optimizer == OptimizerConfig()
 
     def test_config_validation(self):
         for bad in (
@@ -369,7 +373,7 @@ class TestStacks:
         h = rayleigh_stack(4, 8, 2, 3)
         est = h + 0.3 * rayleigh_stack(4, 8, 2, 4)
         starts = (None, random_start(2, 8, 1), np.stack([random_start(2, 8, (1, r)) for r in range(4)]))
-        for cfg in (OptimizerConfig(iterations=4), sweep_optimizer_config(30)):
+        for cfg in (OptimizerConfig(iterations=4, gradient="fd"), OptimizerConfig(iterations=30)):
             for start in starts:
                 stack = optimize_sum_rate(est, h, 0.2, cfg, initial=start)
                 for r in range(4):
@@ -382,8 +386,8 @@ class TestStacks:
     def test_batch_optimizer_on_one_matrix(self):
         h = rayleigh(8, 2, 5)
         for start in (None, random_start(2, 8, 6)):
-            one = optimize_reference(h, h, 0.2, sweep_optimizer_config(10), initial=start)
-            result = optimize_sum_rate(h, h, 0.2, sweep_optimizer_config(10), initial=start)
+            one = optimize_reference(h, h, 0.2, OptimizerConfig(iterations=10), initial=start)
+            result = optimize_sum_rate(h, h, 0.2, OptimizerConfig(iterations=10), initial=start)
             assert isinstance(result.rate, float) and result.rate == one.rate
             assert np.array_equal(result.combiner, one.combiner)
             assert np.array_equal(result.trace, one.trace)
@@ -406,7 +410,7 @@ class TestOptimizerCeiling:
         sigma2 = 10.0 ** (-snr_db / 10.0)
         h = rayleigh_stack(3, antennas, users, seed)
         est = h + est_error * rayleigh_stack(3, antennas, users, seed + 1)
-        cfg = sweep_optimizer_config()
+        cfg = OptimizerConfig()
         batch = optimize_sum_rate(est, h, sigma2, cfg)
         for r in range(3):
             genie = sum_rate(mmse_combiner(h[r], sigma2), h[r], sigma2)

@@ -17,7 +17,6 @@ from sparsebeam import (
     graph,
     load_report_json,
     run_sweep,
-    sweep_optimizer_config,
 )
 from sparsebeam.bench import CSV_HEADER, SweepResult
 
@@ -113,7 +112,7 @@ ORACLE_CONFIGS = {
 class TestBatchedEngine:
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_points_equal_scalar_reference(self, name):
-        fields = dict(snr_db_list=(-5.0, 20.0), realizations=12, seed=17, optimizer=sweep_optimizer_config(20))
+        fields = dict(snr_db_list=(-5.0, 20.0), realizations=12, seed=17, optimizer=OptimizerConfig(iterations=20))
         fields.update(ORACLE_CONFIGS[name])
         config = SweepConfig(**fields)
         assert _as_dicts(run_sweep(config, timestamp="t").points) == _as_dicts(sweep_points_reference(config))
@@ -135,7 +134,7 @@ class TestBatchedEngine:
             velocity_ranges=((30.0, 40.0),),
             realizations=1000,
             seed=2,
-            optimizer=sweep_optimizer_config(2),
+            optimizer=OptimizerConfig(iterations=2),
         )
         batched = run_sweep(config, timestamp="t").points
         assert [p.resampled for p in batched] == [1, 1, 1]

@@ -8,6 +8,7 @@ import pytest
 from sparsebeam import (
     DopplerConfig,
     OfdmConfig,
+    OptimizerConfig,
     SparseMaskSet,
     add_estimation_error,
     generate_channel_batch,
@@ -17,7 +18,6 @@ from sparsebeam import (
     read_channel_file,
     sinr,
     sum_rate,
-    sweep_optimizer_config,
     write_channel_file,
     zf_combiner,
 )
@@ -115,6 +115,10 @@ class TestAttnCheckCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "max forward deviation" in out
+
+    @pytest.mark.parametrize("flag", ["--tol-forward", "--tol-grad"])
+    def test_tolerances_are_not_settable(self, capsys, flag):
+        assert cli_dispatch(["attn-check", "--trials", "1", "--grad-trials", "0", flag, "1"]) == 2
 
 
 class TestHistogramCommand:
@@ -228,7 +232,7 @@ class TestBeamformCommand:
             elif row[1] == "mmse":
                 w = power_project(mmse_combiner(est, sigma2))
             else:
-                w = optimize_sum_rate(est, target[r], sigma2, sweep_optimizer_config(7)).combiner
+                w = optimize_sum_rate(est, target[r], sigma2, OptimizerConfig(iterations=7)).combiner
             assert row[3] == format(sum_rate(w, target[r], sigma2), ".12g")
             assert row[4:] == [format(10.0 * np.log10(g), ".12g") for g in sinr(w, target[r], sigma2)]
 
@@ -241,6 +245,16 @@ class TestBeamformCommand:
         path.write_bytes(b"\x00" * 80)
         assert cli_dispatch(["beamform", "--channel", str(path), "--method", "zf", "--quiet"]) == 1
         assert "bad magic" in capsys.readouterr().err
+
+    def test_singular_realization_named(self, tmp_path, capsys):
+        batch = generate_channel_batch(OfdmConfig(symbols=2, subcarriers=12), DopplerConfig(), 4, 2, 3, 5)
+        batch[1, ..., 0] = 0.0  # user 0 of realization 1 vanishes: its Gram matrix is singular
+        path, out = tmp_path / "c.bin", tmp_path / "rates.csv"
+        write_channel_file(path, batch, 5)
+        assert cli_dispatch(["beamform", "--channel", str(path), "--method", "zf", "--csv", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "ill-conditioned" in err and "zf on realization(s) [1] of" in err
+        assert not out.exists()
 
 
 class TestSweepCommand:

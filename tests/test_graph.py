@@ -225,6 +225,28 @@ class TestHopDiameter:
         expected = [(0, 1), (0, 2), (0, 4), (0, 5), (3, 0), (3, 1), (3, 2), (3, 4), (3, 5), (5, 0)]
         assert result.diameter is None and result.unreachable_pairs == expected
 
+    def test_witnesses_when_one_twin_lacks_a_target(self):
+        # Queries 0-10 share the row [11], and 11 reaches all of them but
+        # 5, so 5 is the only unreachable target of the class: 5 itself
+        # has no witness, and the tenth one comes from twin 10, not 11.
+        grid = GridSpec(1, 12, heads=1)
+        rows = [[11]] * 11 + [[j for j in range(11) if j != 5]]
+        masks = SparseMaskSet.from_rows(grid, "doppler_aware", [rows])
+        result = hop_diameter(masks, "directed")
+        assert result.unreachable_pairs == [(j, 5) for j in range(11) if j != 5]
+        assert result.to_json_dict() == hop_diameter_reference(masks, "directed").to_json_dict()
+
+    def test_sample_skips_row_classes_without_a_source(self):
+        # Every row is its own class and the seed-0 sample is {1, 2}, so
+        # no search may run for class {0}; from 1 and 2 every other node
+        # is one hop away, while 1's return path takes two.
+        grid = GridSpec(1, 3, heads=1)
+        masks = SparseMaskSet.from_rows(grid, "doppler_aware", [[[1, 2], [0, 2], [0, 1]]])
+        kwargs = {"bfs_cap": 2, "sample": True, "sample_sources": 2, "seed": 0}
+        result = hop_diameter(masks, "directed", **kwargs)
+        assert result.diameter == 1 and result.sampled and result.source_count == 2
+        assert result.to_json_dict() == hop_diameter_reference(masks, "directed", **kwargs).to_json_dict()
+
     @pytest.mark.parametrize(
         "spec, pairs",
         [

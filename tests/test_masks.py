@@ -368,3 +368,57 @@ class TestRowValidation:
         indptr = np.array([0, 2, 1, 3, 3])
         with pytest.raises(ValueError, match="row pointers"):
             SparseMaskSet(self.GRID, "doppler_aware", [(indptr, np.array([0, 1, 2]))])
+
+
+_BIASES = [1.0, 1.5, 2.0, 3.0, 4.0, 7.5]
+_SYMBOLS = st.integers(1, 8)
+_SUBCARRIERS = st.integers(1, 12)
+
+
+def assert_csr_invariants(masks):
+    """Each head is a well-formed CSR: int64 arrays, pointers from 0 to
+    nnz that never fall, keys in range and strictly ascending per row,
+    and no key after its query on a causal mask."""
+    tokens = masks.tokens
+    for h in range(masks.head_count):
+        indptr, indices = masks.head_csr(h)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.shape == (tokens + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
+        assert (np.diff(indptr) >= 0).all() and np.array_equal(np.diff(indptr), masks.row_lengths(h))
+        for i in range(tokens):
+            row = indices[indptr[i] : indptr[i + 1]]
+            assert (np.diff(row) > 0).all() and ((row >= 0) & (row < tokens)).all()
+            if masks.causal:
+                assert (row <= i).all()
+
+
+def assert_json_round_trip(masks):
+    restored = SparseMaskSet.from_json_dict(json.loads(json.dumps(masks.to_json_dict())))
+    assert restored.equals(masks)
+
+
+class TestRandomGrids:
+    """Both builders on random grids against their dense loop oracles,
+    with the CSR invariants and a JSON round trip on every mask set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symbols=_SYMBOLS, subcarriers=_SUBCARRIERS, heads=st.integers(1, 4), bias=st.sampled_from(_BIASES))
+    def test_doppler_masks(self, symbols, subcarriers, heads, bias):
+        masks = build_doppler_masks(GridSpec(symbols, subcarriers, heads, bias))
+        dense, _ = doppler_masks_reference(symbols, subcarriers, heads, bias)
+        for h in range(heads):
+            for i in range(masks.tokens):
+                assert np.array_equal(masks.row(h, i), np.flatnonzero(dense[h, i]))
+        assert_csr_invariants(masks)
+        assert_json_round_trip(masks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbols=_SYMBOLS, subcarriers=_SUBCARRIERS, bias=st.sampled_from(_BIASES), causal=st.booleans())
+    def test_fixed_strided_masks(self, symbols, subcarriers, bias, causal):
+        masks = build_fixed_strided_masks(GridSpec(symbols, subcarriers, 2, bias), causal=causal)
+        local, strided = fixed_masks_reference(masks.tokens, global_stride(masks.tokens, 2), causal)
+        for i in range(masks.tokens):
+            assert np.array_equal(masks.row(0, i), np.flatnonzero(local[i]))
+            assert np.array_equal(masks.row(1, i), np.flatnonzero(strided[i]))
+        assert_csr_invariants(masks)
+        assert_json_round_trip(masks)
