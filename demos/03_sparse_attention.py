@@ -31,9 +31,13 @@ print(f"max |sparse - dense| over 25 seeded blocks: {worst:.2e}")
 print()
 print("=== 2. Softmax weights sum to 1 over each attended row ===")
 block = EmbeddingBlock.random(grid.tokens, 8, grid.heads, seed=0)
-result = sparse_attention_forward(block, masks, keep_weights=True)
-sums = result.weights[0].sum(axis=1)
-print(f"head-0 row sums: min {sums.min():.15f}, max {sums.max():.15f}")
+# with every value row equal to c, each output row is its weight sum times c
+c = 3.0
+constant = EmbeddingBlock(block.queries, block.keys, np.full(block.values.shape, c))
+out = sparse_attention_forward(constant, masks).output
+d = block.head_dim
+dev = max(np.abs(out[masks.row_lengths(h) > 0, h * d : (h + 1) * d] - c).max() for h in range(grid.heads))
+print(f"values all {c}: max |output - {c}| over non-empty rows {dev:.2e}")
 
 print()
 print("=== 3. Empty head rows yield zero output plus a warning record ===")

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""The Jakes fading process and the tapped-delay-line OFDM channel:
-autocorrelation vs the Bessel oracle, power normalization, coherence.
+"""The Jakes fading process and the tapped-delay-line OFDM channel, both
+drawn by `generate_channel_batch`: autocorrelation vs the Bessel oracle,
+power normalization, coherence.
 
 Run: python demos/05_doppler_channel.py
 """
@@ -9,12 +10,11 @@ import numpy as np
 from scipy.special import j0
 
 from sparsebeam import (
+    SPEED_OF_LIGHT,
     DopplerConfig,
     OfdmConfig,
     add_estimation_error,
-    generate_channel,
     generate_channel_batch,
-    jakes_fading,
     max_doppler,
     time_bias_hint,
 )
@@ -29,7 +29,10 @@ print("=== 2. Ensemble autocorrelation tracks J0(2 pi f_d tau) ===")
 ofdm = OfdmConfig()
 fd = 347.0
 t = np.arange(ofdm.symbols) * ofdm.symbol_duration_s
-draws = np.array([jakes_fading(fd, t, seed=s) for s in range(4000)])
+# one tap, antenna, user and subcarrier: the channel is the fading itself
+one_path = OfdmConfig(subcarriers=1, num_taps=1)
+at_fd = DopplerConfig(velocity_mps=fd * SPEED_OF_LIGHT / 2.6e9)
+draws = generate_channel_batch(one_path, at_fd, 1, 1, 4000, seed=0)[:, :, 0, 0, 0]
 corr = np.array([(draws[:, lag:] * draws[:, : len(t) - lag].conj()).mean().real for lag in range(len(t))])
 print(" lag   measured   J0(2 pi fd tau)")
 for lag in (0, 3, 6, 9, 13):
@@ -38,12 +41,12 @@ print(f"mean |g|^2 over the ensemble: {(np.abs(draws) ** 2).mean():.4f}")
 
 print()
 print("=== 3. The slot channel: time and frequency selectivity ===")
-h = generate_channel(ofdm, DopplerConfig(velocity_mps=40.0), antennas=1, users=1, seed=0)[:, :, 0, 0]
+h = generate_channel_batch(ofdm, DopplerConfig(velocity_mps=40.0), 1, 1, 1, seed=0)[0, :, :, 0, 0]
 time_corr = (h[0] * h[-1].conj()).mean() / (np.abs(h[0]) ** 2).mean()
 freq_corr = (h[:, 0] * h[:, 1].conj()).mean() / (np.abs(h[:, 0]) ** 2).mean()
 print(f"first-vs-last-symbol correlation at 40 m/s: {abs(time_corr):.3f}")
 print(f"adjacent-subcarrier correlation (100 ns delay spread): {abs(freq_corr):.3f}")
-flat = generate_channel(OfdmConfig(num_taps=1), DopplerConfig(velocity_mps=40.0), 1, 1, seed=0)
+flat = generate_channel_batch(OfdmConfig(num_taps=1), DopplerConfig(velocity_mps=40.0), 1, 1, 1, seed=0)[0]
 print(f"single tap at zero delay is frequency-flat: "
       f"{bool(np.allclose(flat[0], flat[0, :1]))}")
 

@@ -31,15 +31,13 @@ from .beamforming import (
     sum_rate_gradient,
     zf_combiner,
 )
-from .bench import SweepConfig, SweepPoint, SweepResult, export_report, load_report_json, run_sweep
+from .bench import SweepConfig, SweepPoint, SweepResult, export_report, run_sweep
 from .channel import (
     SPEED_OF_LIGHT,
     DopplerConfig,
     OfdmConfig,
     add_estimation_error,
-    generate_channel,
     generate_channel_batch,
-    jakes_fading,
     max_doppler,
     read_channel_file,
     time_bias_hint,

@@ -35,6 +35,8 @@ class EmbeddingBlock:
         q, k, v = (np.asarray(a, dtype=np.float64) for a in (self.queries, self.keys, self.values))
         if q.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
             raise ValueError("queries, keys, values must share shape (heads, tokens, head_dim)")
+        if q.shape[2] < 1:
+            raise ValueError("head_dim must be >= 1")
         if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
             raise ValueError("embeddings must be finite")
         self.queries, self.keys, self.values = q, k, v
@@ -69,10 +71,6 @@ class EmbeddingBlock:
 class AttentionResult:
     output: np.ndarray  # (tokens, model_dim), head outputs concatenated
     empty_rows: list[tuple[int, int]] = field(default_factory=list)  # (head, query)
-    # keep_weights only, per head (tokens, max(1, longest row)): column j
-    # holds the weight of the query's j-th key; weight_masks marks j < row length
-    weights: list[np.ndarray] | None = None
-    weight_masks: list[np.ndarray] | None = None
 
     @property
     def empty_row_count(self) -> int:
@@ -108,9 +106,7 @@ def _class_attention(block: EmbeddingBlock, packed: RowBlocks, head: int):
     return q, k, v, weights, np.matmul(weights, v)
 
 
-def sparse_attention_forward(
-    block: EmbeddingBlock, masks: SparseMaskSet, keep_weights: bool = False
-) -> AttentionResult:
+def sparse_attention_forward(block: EmbeddingBlock, masks: SparseMaskSet) -> AttentionResult:
     """Masked attention restricted to each query's sparse key row.
 
     Softmax weights sum to 1 over every non-empty row; a query whose
@@ -122,22 +118,12 @@ def sparse_attention_forward(
     d = block.head_dim
     output = np.zeros((block.tokens, block.model_dim))
     empty: list[tuple[int, int]] = []
-    kept_w, kept_m = [], []
     for h in range(block.heads):
         packed = masks.row_blocks(h)
-        weights, out = _class_attention(block, packed, h)[3:]
+        out = _class_attention(block, packed, h)[4]
         output[packed.placed, h * d : (h + 1) * d] = out.reshape(-1, d).take(packed.slots, axis=0)
-        lengths = masks.row_lengths(h)
-        empty.extend((h, int(i)) for i in np.flatnonzero(lengths == 0))
-        if keep_weights:
-            width = weights.shape[2]
-            kept_w.append(np.zeros((block.tokens, width)))
-            kept_w[-1][packed.placed] = weights.reshape(-1, width)[packed.slots]
-            kept_m.append(np.arange(width) < lengths[:, None])
-    result = AttentionResult(output, empty)
-    if keep_weights:
-        result.weights, result.weight_masks = kept_w, kept_m
-    return result
+        empty.extend((h, int(i)) for i in np.flatnonzero(masks.row_lengths(h) == 0))
+    return AttentionResult(output, empty)
 
 
 def dense_masked_oracle(block: EmbeddingBlock, masks: SparseMaskSet) -> AttentionResult:

@@ -103,18 +103,6 @@ class SweepResult:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SweepResult":
-        meta = payload["metadata"]
-        points = [SweepPoint(**entry) for entry in payload["points"]]
-        return cls(
-            points=points,
-            seed=meta["seed"],
-            version=meta["version"],
-            build=meta["build"],
-            timestamp=meta["timestamp"],
-        )
-
 
 def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> np.ndarray:
     """Combiner of `method` built from the channel `estimate`, one matrix
@@ -265,8 +253,3 @@ def export_report(result: SweepResult, fmt: str, path) -> None:
             fh.write("\n")
     else:
         raise ValueError("format must be 'csv' or 'json'")
-
-
-def load_report_json(path) -> SweepResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SweepResult.from_json_dict(json.load(fh))

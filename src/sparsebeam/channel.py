@@ -101,25 +101,6 @@ class OfdmConfig:
         return p / p.sum()
 
 
-def jakes_fading(doppler_hz: float, time_grid, seed, num_sinusoids: int = 32) -> np.ndarray:
-    """Unit-power Clarke/Jakes fading sampled on `time_grid`.
-
-    Sum of `num_sinusoids` complex sinusoids with uniform random arrival
-    angles and phases; the ensemble autocorrelation at lag tau is
-    J0(2 pi doppler_hz tau) and zero Doppler gives a time-constant
-    draw.
-    """
-    if not (0 <= doppler_hz < math.inf):
-        raise ValueError("Doppler shift must be finite and >= 0")
-    if num_sinusoids < 8:
-        raise ValueError("need at least 8 sinusoid components")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, (1, 1, 1, num_sinusoids))
-    phi = rng.uniform(0.0, 2.0 * np.pi, (1, 1, 1, num_sinusoids))
-    t = np.asarray(time_grid, dtype=np.float64)
-    return _fading_block(np.array([doppler_hz], dtype=np.float64), theta, phi, t)[0, 0, 0]
-
-
 def _draw_paths(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, rng):
     """The random part of one realization, in a fixed draw order: per-user
     Doppler shifts, then arrival angles and phases of every
@@ -174,22 +155,14 @@ def _generate_true(
     return np.einsum("nmpl,pk->lkmn", gains, weighted)
 
 
-def generate_channel(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, seed) -> np.ndarray:
-    """One realization of the true channel over the whole slot grid,
-    shape (symbols, subcarriers, antennas, users); estimates come from
-    `add_estimation_error`."""
-    if antennas < 1 or users < 1:
-        raise ValueError("antennas and users must be >= 1")
-    return _generate_true(ofdm, doppler, antennas, users, np.random.default_rng(seed))
-
-
 def generate_channel_batch(
     ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: int, realizations: int, seed: int
 ) -> np.ndarray:
-    """Independent realizations stacked on a leading axis,
-    shape (realizations, symbols, subcarriers, antennas, users).
-    Realization r uses the derived stream (seed, r), so the batch is
-    reproducible and order-independent."""
+    """Independent realizations of the true channel over the whole slot
+    grid, stacked on a leading axis, shape (realizations, symbols,
+    subcarriers, antennas, users); estimates come from
+    `add_estimation_error`.  Realization r uses the derived stream
+    (seed, r), so the batch is reproducible and order-independent."""
     if realizations < 1:
         raise ValueError("need at least one realization")
     if antennas < 1 or users < 1:
@@ -239,8 +212,8 @@ def write_channel_file(path, batch: np.ndarray, seed: int) -> None:
     arr = np.ascontiguousarray(batch, dtype=np.complex128)
     if arr.ndim != 5 or 0 in arr.shape:
         raise ValueError("batch must have shape (R, L, K, M, N) with every axis >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0 for the file header")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64) for the file header, got {seed}")
     r, sym, sub, m, n = arr.shape
     header = struct.pack("<8Q", CHANNEL_FILE_MAGIC, CHANNEL_FILE_VERSION, sym, sub, m, n, r, seed)
     with open(path, "wb") as fh:

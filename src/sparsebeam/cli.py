@@ -78,6 +78,23 @@ def _method_list(text: str) -> tuple:
     return methods
 
 
+def _count(text: str) -> int:
+    """`attn-check` trial counts: an integer >= 1, so a run checks something."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+class _AppendOnce(argparse.Action):
+    """`--method`: repeatable, but each method is named once, as in `--methods`."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        seen = getattr(namespace, self.dest) or []
+        if value in seen:
+            raise argparse.ArgumentError(self, f"{value!r} is named twice")
+        setattr(namespace, self.dest, [*seen, value])
+
+
 def _grid_from(args) -> GridSpec:
     return GridSpec(symbols=args.L, subcarriers=args.K, heads=args.heads, time_bias=args.time_bias)
 
@@ -275,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_grid_args(p)
     p.set_defaults(L=4, K=6)  # desk-scale default grid for kernel checks
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--grad-trials", type=int, default=3)
+    p.add_argument("--trials", type=_count, default=20)
+    p.add_argument("--grad-trials", type=_count, default=3)
     p.add_argument("--model-dim", type=int, default=8)
     p.set_defaults(handler=_cmd_attn_check)
 
@@ -306,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beamform", help="per-realization beamformer rates on a channel file's realizations")
     _add_common(p)
     p.add_argument("--channel", required=True, help="file written by `sparsebeam channel`")
-    p.add_argument("--method", action="append", choices=KNOWN_METHODS, required=True)
+    p.add_argument("--method", action=_AppendOnce, choices=KNOWN_METHODS, required=True)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--est-snr-db", type=float, default=float("inf"))
     p.add_argument("--opt-iterations", type=int, default=100)

@@ -137,13 +137,14 @@ def _bfs_levels(adj, seeds):
         reach[active] |= fresh
 
 
-def union_adjacency(maskset: SparseMaskSet, heads=None, undirected: bool = False):
+def union_adjacency(maskset: SparseMaskSet, undirected: bool = False):
     """CSR adjacency of the union attention graph.
 
     Directed edges run query -> key exactly as the masks define them;
-    `undirected=True` symmetrizes by adding each reverse edge.
+    `undirected=True` symmetrizes by adding each reverse edge.  To
+    measure a subset of heads, build a mask set of those heads.
     """
-    indptr, indices = maskset.union_rows(heads=heads)
+    indptr, indices = maskset.union_rows()
     if not undirected:
         return indptr, indices
     tokens = maskset.tokens
@@ -192,7 +193,6 @@ class HopDiameterResult:
 def hop_diameter(
     maskset: SparseMaskSet,
     mode: str = "undirected",
-    heads=None,
     bfs_cap: int = DEFAULT_BFS_CAP,
     sample: bool = False,
     sample_sources: int = DEFAULT_SAMPLE_SOURCES,
@@ -215,7 +215,7 @@ def hop_diameter(
         raise ResourceLimitError(
             f"{tokens} tokens exceeds the all-pairs BFS cap of {bfs_cap}; pass sample=True"
         )
-    indptr, indices = union_adjacency(maskset, heads=heads, undirected=(mode == "undirected"))
+    indptr, indices = union_adjacency(maskset, undirected=(mode == "undirected"))
     if tokens > bfs_cap:
         rng = np.random.default_rng(seed)
         sources = np.sort(rng.choice(tokens, size=min(sample_sources, tokens), replace=False))

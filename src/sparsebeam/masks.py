@@ -327,12 +327,11 @@ class SparseMaskSet:
             self._row_blocks[head] = _pack_row_blocks(*self._heads[head], *self.row_classes(head))
         return self._row_blocks[head]
 
-    def union_rows(self, heads=None) -> tuple[np.ndarray, np.ndarray]:
+    def union_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge rows across heads, deduplicated and sorted per query."""
-        picked = range(self.head_count) if heads is None else list(heads)
         queries = np.arange(self.tokens, dtype=np.int64)
-        rows = np.concatenate([np.repeat(queries, self.row_lengths(h)) for h in picked])
-        keys = np.concatenate([self.head_csr(h)[1] for h in picked])
+        rows = np.concatenate([np.repeat(queries, np.diff(indptr)) for indptr, _ in self._heads])
+        keys = np.concatenate([indices for _, indices in self._heads])
         return _pairs_to_csr(rows, keys, self.tokens)
 
     def validation_report(self) -> dict:

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from sparsebeam import GridSpec, build_doppler_masks
+from sparsebeam import GridSpec, SparseMaskSet, build_doppler_masks
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,10 @@ BATTERY_GRIDS = [
     (9, 1, 2, 2.0),
     (7, 11, 3, 1.5),
 ]
+
+
+def head_subset(masks, heads):
+    """The mask set of the chosen heads of `masks`: a subset of heads is
+    itself a mask set, so graph measures need no head selector."""
+    grid = dataclasses.replace(masks.grid, heads=len(heads))
+    return SparseMaskSet(grid, masks.pattern_kind, [masks.head_csr(h) for h in heads])

@@ -76,7 +76,7 @@ def diameter_by_powering(adjacency):
     return int(dist.max()), True
 
 
-def hop_diameter_reference(maskset, mode="undirected", heads=None, bfs_cap=4096, sample=False, sample_sources=1024, seed=0):
+def hop_diameter_reference(maskset, mode="undirected", bfs_cap=4096, sample=False, sample_sources=1024, seed=0):
     """`hop_diameter` by one breadth-first search per source over a dense
     boolean union graph built from the mask rows.  Sources above
     `bfs_cap` tokens are drawn as the library draws them; witnesses are
@@ -85,7 +85,7 @@ def hop_diameter_reference(maskset, mode="undirected", heads=None, bfs_cap=4096,
 
     tokens = maskset.tokens
     adjacency = np.zeros((tokens, tokens), dtype=bool)
-    for h in range(maskset.head_count) if heads is None else heads:
+    for h in range(maskset.head_count):
         for i in range(tokens):
             adjacency[i, maskset.row(h, i)] = True
     if mode == "undirected":

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import j0
 
 from sparsebeam import (
+    SPEED_OF_LIGHT,
     EmbeddingBlock,
     GridSpec,
     OptimizerConfig,
@@ -25,7 +26,6 @@ from sparsebeam import (
     equivalence_classes,
     export_report,
     gradient_check,
-    jakes_fading,
     lookahead_update,
     max_doppler,
     mmse_combiner,
@@ -36,7 +36,6 @@ from sparsebeam import (
     sinr,
     sparse_attention_forward,
     sum_rate,
-    union_adjacency,
     verify_partition,
     zf_combiner,
 )
@@ -114,11 +113,11 @@ def test_c3_partition_lemma():
     classes = equivalence_classes(672, 26)
     sizes = sorted(c.size for c in classes)
     assert sizes == [25] * 4 + [26] * 22
-    # undirected components of the head-0-only graph match the classes,
-    # found by scipy's csgraph rather than the library's own BFS
-    indptr, indices = union_adjacency(masks, heads=[0], undirected=True)
+    # weak components of the head-0 graph match the classes, found by
+    # scipy's csgraph on the raw head-0 rows rather than by the library
+    indptr, indices = masks.head_csr(0)
     adjacency = csr_matrix((np.ones(indices.size), indices, indptr), shape=(672, 672))
-    components, labels = connected_components(adjacency, directed=False)
+    components, labels = connected_components(adjacency, directed=True, connection="weak")
     assert components == 26
     for cls in classes:
         assert np.array_equal(np.flatnonzero(labels == labels[cls[0]]), cls)
@@ -250,7 +249,12 @@ def test_c8_channel_statistics():
     budget = Budget("criterion 8 (channel statistics)", 60.0)
     doppler_hz = 347.0
     t = np.arange(14) * (500e-6 / 14)
-    draws = np.array([jakes_fading(doppler_hz, t, seed=s) for s in range(10000)])
+    # one tap, antenna, user and subcarrier of the sweep's generator, at
+    # the velocity whose Doppler shift on the 2.6 GHz carrier is 347 Hz
+    one_path = OfdmConfig(symbols=14, subcarriers=1, num_taps=1)
+    velocity = doppler_hz * SPEED_OF_LIGHT / 2.6e9
+    batch = generate_channel_batch(one_path, DopplerConfig(velocity_mps=velocity), 1, 1, 10000, seed=0)
+    draws = batch[:, :, 0, 0, 0]
     corr = np.array([(draws[:, lag:] * draws[:, : 14 - lag].conj()).mean() for lag in range(14)])
     rmse = float(np.sqrt(np.mean((corr.real - j0(2 * np.pi * doppler_hz * t)) ** 2)))
     assert rmse <= 0.05

@@ -67,27 +67,29 @@ class TestForward:
             assert np.all(segment == 0.0)
 
     def test_weights_sum_to_one(self):
+        # with every value row equal to c, a row's output is its weight sum times c
         _, masks, block = make_case((4, 6, 2, 2.0), seed=2)
-        result = sparse_attention_forward(block, masks, keep_weights=True)
-        for weights, valid in zip(result.weights, result.weight_masks):
-            sums = weights.sum(axis=1)
-            nonempty = valid.any(axis=1)
-            np.testing.assert_allclose(sums[nonempty], 1.0, atol=1e-12)
-            assert np.all(weights[~valid] == 0.0)
+        c = np.arange(1.0, block.heads * block.head_dim + 1).reshape(block.heads, 1, block.head_dim)
+        values = np.broadcast_to(c, block.values.shape)
+        result = sparse_attention_forward(EmbeddingBlock(block.queries, block.keys, values), masks)
+        d = block.head_dim
+        for h in range(block.heads):
+            nonempty = masks.row_lengths(h) > 0
+            np.testing.assert_allclose(result.output[nonempty, h * d : (h + 1) * d] - c[h], 0.0, atol=1e-12)
 
     def test_weights_match_loop_softmax(self):
-        grid, masks, block = make_case((3, 4, 2, 2.0), seed=5)
-        result = sparse_attention_forward(block, masks, keep_weights=True)
+        # identity values make each head's output its (tokens, tokens) weight matrix
+        grid, masks, block = make_case((3, 4, 2, 2.0), model_dim=24, seed=5)
+        values = np.broadcast_to(np.eye(grid.tokens), block.values.shape)
+        result = sparse_attention_forward(EmbeddingBlock(block.queries, block.keys, values), masks)
         for h in range(grid.heads):
             allowed = np.zeros((grid.tokens, grid.tokens), dtype=bool)
             for i in range(grid.tokens):
                 allowed[i, masks.row(h, i)] = True
             scores = block.queries[h] @ block.keys[h].T / np.sqrt(block.head_dim)
             expected = softmax_rows_reference(scores, allowed)
-            padded = result.weights[h]
-            for i in range(grid.tokens):
-                row = masks.row(h, i)
-                np.testing.assert_allclose(padded[i, : row.size], expected[i, row], atol=1e-12)
+            weights = result.output[:, h * grid.tokens : (h + 1) * grid.tokens]
+            np.testing.assert_allclose(weights, expected, atol=1e-12)
 
     def test_permutation_of_row_values_is_equivariant(self):
         grid, masks, block = make_case((4, 6, 2, 2.0), seed=8)
@@ -120,6 +122,10 @@ class TestForward:
         wrong = EmbeddingBlock.random(10, 8, 2, seed=0)
         with pytest.raises(ValueError):
             sparse_attention_forward(wrong, masks)
+
+    def test_empty_head_dim_rejected(self):
+        with pytest.raises(ValueError, match="head_dim must be >= 1"):
+            EmbeddingBlock.random(6, 0, 2)
 
     def test_nonfinite_input_rejected(self):
         data = np.zeros((2, 6, 4))
@@ -161,13 +167,10 @@ class TestRowClassKernel:
             rows_per_head.append(data.draw(st.lists(st.sampled_from(pool), min_size=grid.tokens, max_size=grid.tokens)))
         masks = SparseMaskSet.from_rows(grid, "doppler_aware", rows_per_head)
         block = EmbeddingBlock.random(grid.tokens, 2 * heads, heads, seed=data.draw(st.integers(0, 2**16)))
-        sparse = sparse_attention_forward(block, masks, keep_weights=True)
+        sparse = sparse_attention_forward(block, masks)
         dense = dense_masked_oracle(block, masks)
         assert np.abs(sparse.output - dense.output).max() <= 1e-12
         assert sparse.empty_rows == dense.empty_rows
-        for h, (weights, valid) in enumerate(zip(sparse.weights, sparse.weight_masks)):
-            width = max(1, max(len(row) for row in rows_per_head[h]))
-            assert weights.shape == valid.shape == (grid.tokens, width)
 
     @pytest.mark.parametrize("singletons", [0, 1, 5, 23])
     def test_skewed_classes_bound_padding(self, singletons):

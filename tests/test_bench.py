@@ -2,6 +2,7 @@
 and the batched cell engine against the scalar per-realization protocol."""
 
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from sparsebeam import (
     bench,
     export_report,
     graph,
-    load_report_json,
     run_sweep,
 )
 from sparsebeam.bench import CSV_HEADER, SweepResult
@@ -176,7 +176,8 @@ class TestExportReport:
     def test_json_round_trip(self, small_result, tmp_path):
         path = tmp_path / "sweep.json"
         export_report(small_result, "json", path)
-        assert load_report_json(path) == small_result
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == small_result.to_json_dict()
 
     def test_unknown_format(self, small_result, tmp_path):
         with pytest.raises(ValueError):

@@ -13,9 +13,7 @@ from sparsebeam import (
     DopplerConfig,
     OfdmConfig,
     add_estimation_error,
-    generate_channel,
     generate_channel_batch,
-    jakes_fading,
     max_doppler,
     read_channel_file,
     time_bias_hint,
@@ -68,78 +66,85 @@ class TestDopplerConfig:
             DopplerConfig(**fields)
 
 
+def fading(doppler_hz, symbol_s, symbols, realizations, seed, num_sinusoids=32):
+    """(realizations, symbols) fading draws of the one generator: one tap,
+    antenna, user and subcarrier, at the velocity whose Doppler shift on
+    the 2.6 GHz carrier is `doppler_hz`."""
+    ofdm = OfdmConfig(symbols=symbols, subcarriers=1, num_taps=1, tti_s=symbols * symbol_s)
+    doppler = DopplerConfig(velocity_mps=doppler_hz * SPEED_OF_LIGHT / 2.6e9, num_sinusoids=num_sinusoids)
+    return generate_channel_batch(ofdm, doppler, 1, 1, realizations, seed)[:, :, 0, 0, 0]
+
+
 class TestJakesFading:
+    """Clarke/Jakes statistics of `generate_channel_batch` itself, the
+    generator behind the sweep and the `channel` command."""
+
+    @pytest.fixture(scope="class")
+    def slot_draws(self):
+        # 10000 draws over the 14-symbol slot at 347 Hz (40 m/s)
+        return fading(347.0, 500e-6 / 14, 14, 10000, seed=0)
+
     def test_zero_doppler_is_static(self):
-        t = np.linspace(0.0, 1.0, 20)
-        g = jakes_fading(0.0, t, seed=5)
+        g = fading(0.0, 1.0 / 19, 20, 1, seed=5)[0]
         assert np.allclose(g, g[0])
 
-    def test_ensemble_unit_power(self):
-        t = np.arange(14) * (500e-6 / 14)
-        total = 0.0
-        for seed in range(10000):
-            g = jakes_fading(347.0, t, seed=seed)
-            total += (np.abs(g) ** 2).mean()
-        assert abs(total / 10000 - 1.0) <= 0.02
+    def test_ensemble_unit_power(self, slot_draws):
+        assert abs((np.abs(slot_draws) ** 2).mean() - 1.0) <= 0.02
 
-    def test_autocorrelation_matches_bessel(self):
+    def test_autocorrelation_matches_bessel(self, slot_draws):
         # ensemble autocorrelation over the slot grid vs J0(2 pi f_d tau)
         doppler_hz = 347.0
         t = np.arange(14) * (500e-6 / 14)
-        draws = np.array([jakes_fading(doppler_hz, t, seed=s) for s in range(10000)])
-        corr = np.array([(draws[:, lag:] * draws[:, : 14 - lag].conj()).mean() for lag in range(14)])
+        corr = np.array([(slot_draws[:, lag:] * slot_draws[:, : 14 - lag].conj()).mean() for lag in range(14)])
         expected = j0(2.0 * np.pi * doppler_hz * t)
         rmse = np.sqrt(np.mean((corr.real - expected) ** 2))
         assert rmse <= 0.05
 
     def test_half_period_correlation(self):
         doppler_hz = 200.0
-        tau = 1.0 / (2.0 * doppler_hz)
-        t = np.array([0.0, tau])
-        acc = 0.0
-        for seed in range(10000):
-            g = jakes_fading(doppler_hz, t, seed=seed)
-            acc += (g[1] * np.conj(g[0])).real
-        assert abs(acc / 10000 - j0(np.pi)) <= 0.05
-
-    def test_determinism(self):
-        t = np.arange(5) * 1e-4
-        assert np.array_equal(jakes_fading(100.0, t, seed=3), jakes_fading(100.0, t, seed=3))
+        g = fading(doppler_hz, 1.0 / (2.0 * doppler_hz), 2, 10000, seed=1)
+        assert abs((g[:, 1] * np.conj(g[:, 0])).real.mean() - j0(np.pi)) <= 0.05
 
     @pytest.mark.parametrize("symbols, velocity, sinusoids", [(14, 40.0, 32), (1, 3.0, 8), (7, 0.0, 16), (20, 120.0, 50)])
     def test_generator_path_is_jakes(self, symbols, velocity, sinusoids):
-        # one tap, antenna and user at a fixed velocity: the generator's
-        # fading is `jakes_fading` itself, so the Bessel oracle covers it
+        # one tap, antenna and user at a fixed velocity: on every subcarrier
+        # the channel is the Jakes sum of sinusoids, term by term, with the
+        # arrival angles and then the phases drawn from the stream (seed, r)
         ofdm = OfdmConfig(symbols=symbols, subcarriers=3, num_taps=1)
         doppler = DopplerConfig(carrier_hz=2.6e9, velocity_mps=velocity, num_sinusoids=sinusoids)
         times = np.arange(symbols) * ofdm.symbol_duration_s
-        for seed in range(10):
-            h = generate_channel(ofdm, doppler, 1, 1, seed)[:, 0, 0, 0]
-            g = jakes_fading(max_doppler(velocity, 2.6e9), times, seed, num_sinusoids=sinusoids)
-            assert np.array_equal(h, g)
+        shift = 2.0 * np.pi * max_doppler(velocity, 2.6e9)
+        batch = generate_channel_batch(ofdm, doppler, 1, 1, 10, seed=0)
+        for r in range(10):
+            rng = np.random.default_rng((0, r))
+            theta = rng.uniform(0.0, 2.0 * np.pi, sinusoids)
+            phi = rng.uniform(0.0, 2.0 * np.pi, sinusoids)
+            g = sum(np.exp(1j * (shift * np.cos(a) * times + b)) for a, b in zip(theta, phi)) / np.sqrt(sinusoids)
+            for k in range(3):
+                np.testing.assert_allclose(batch[r, :, k, 0, 0], g, rtol=0, atol=1e-12)
+
+    def test_determinism(self):
+        a = fading(100.0, 1e-4, 5, 3, seed=3, num_sinusoids=8)
+        assert np.array_equal(a, fading(100.0, 1e-4, 5, 3, seed=3, num_sinusoids=8))
+        assert not np.array_equal(a, fading(100.0, 1e-4, 5, 3, seed=4, num_sinusoids=8))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            jakes_fading(-1.0, [0.0], seed=0)
-        with pytest.raises(ValueError):
-            jakes_fading(10.0, [0.0], seed=0, num_sinusoids=4)
-
-    @pytest.mark.parametrize("doppler_hz", [float("nan"), float("inf")])
-    def test_nonfinite_doppler_rejected(self, doppler_hz):
-        with pytest.raises(ValueError, match="finite"):
-            jakes_fading(doppler_hz, [0.0, 1e-3], seed=0)
+            DopplerConfig(velocity_mps=-1.0)
+        with pytest.raises(ValueError, match="8 sinusoid"):
+            DopplerConfig(num_sinusoids=4)
 
 
 class TestGenerateChannel:
     def test_single_tap_is_frequency_flat(self):
         ofdm = OfdmConfig(symbols=4, subcarriers=8, num_taps=1)
-        h = generate_channel(ofdm, DopplerConfig(velocity_mps=30.0), 2, 1, seed=0)
+        h = generate_channel_batch(ofdm, DopplerConfig(velocity_mps=30.0), 2, 1, 1, seed=0)[0]
         for sym in range(4):
             assert np.allclose(h[sym], h[sym, :1], atol=1e-12)
 
     def test_zero_doppler_is_time_flat(self):
         ofdm = OfdmConfig(symbols=6, subcarriers=4)
-        h = generate_channel(ofdm, DopplerConfig(velocity_mps=0.0), 2, 2, seed=1)
+        h = generate_channel_batch(ofdm, DopplerConfig(velocity_mps=0.0), 2, 2, 1, seed=1)[0]
         assert np.allclose(h, h[:1], atol=1e-12)
 
     def test_unit_average_power(self):
@@ -167,8 +172,8 @@ class TestGenerateChannel:
     def test_determinism(self):
         ofdm = OfdmConfig(symbols=3, subcarriers=4)
         dop = DopplerConfig(velocity_mps=(10.0, 20.0))
-        a = generate_channel(ofdm, dop, 2, 2, seed=9)
-        b = generate_channel(ofdm, dop, 2, 2, seed=9)
+        a = generate_channel_batch(ofdm, dop, 2, 2, 2, seed=9)
+        b = generate_channel_batch(ofdm, dop, 2, 2, 2, seed=9)
         assert np.array_equal(a, b)
 
     def test_batch_realizations_independent_of_order(self):
@@ -348,6 +353,13 @@ class TestChannelFile:
         assert loaded.tobytes() == batch.tobytes()
         r, sym, sub, m, n = shape
         assert meta == {"symbols": sym, "subcarriers": sub, "antennas": m, "users": n, "realizations": r, "seed": seed}
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_header_range_rejected(self, tmp_path, seed):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            write_channel_file(path, np.zeros((1, 1, 1, 1, 1), dtype=complex), seed=seed)
+        assert not path.exists()
 
     @pytest.mark.parametrize("axis", range(5))
     def test_empty_axis_rejected_on_write(self, tmp_path, axis):

@@ -118,7 +118,19 @@ class TestAttnCheckCommand:
 
     @pytest.mark.parametrize("flag", ["--tol-forward", "--tol-grad"])
     def test_tolerances_are_not_settable(self, capsys, flag):
-        assert cli_dispatch(["attn-check", "--trials", "1", "--grad-trials", "0", flag, "1"]) == 2
+        assert cli_dispatch(["attn-check", "--trials", "1", "--grad-trials", "1", flag, "1"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--trials", "0", "--grad-trials", "0"], ["--trials", "0"],
+                                       ["--grad-trials", "0"], ["--trials", "-1"], ["--grad-trials", "-2"]])
+    def test_a_run_checks_something(self, capsys, flags):
+        # zero or negative trial counts would report a deviation of 0
+        # without checking anything
+        assert cli_dispatch(["attn-check", *flags]) == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
+    def test_zero_model_dim_rejected(self, capsys):
+        assert cli_dispatch(["attn-check", "--model-dim", "0", "--trials", "1", "--grad-trials", "1"]) == 1
+        assert "head_dim must be >= 1" in capsys.readouterr().err
 
 
 class TestHistogramCommand:
@@ -173,6 +185,15 @@ class TestChannelCommand:
                              "--m", "1", "--n", "1", "--out", str(out), "--quiet"])
         assert code == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_seed_beyond_file_header_rejected(self, tmp_path, capsys):
+        out = tmp_path / "c.bin"
+        code = cli_dispatch(["channel", "--seed", str(2**64), "--rb", "1", "--symbols", "2", "--m", "1", "--n", "1",
+                             "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -235,6 +256,15 @@ class TestBeamformCommand:
                 w = optimize_sum_rate(est, target[r], sigma2, OptimizerConfig(iterations=7)).combiner
             assert row[3] == format(sum_rate(w, target[r], sigma2), ".12g")
             assert row[4:] == [format(10.0 * np.log10(g), ".12g") for g in sinr(w, target[r], sigma2)]
+
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys, channel_file):
+        # each row would be written twice; `sweep --methods` rejects repeats too
+        out = tmp_path / "rates.csv"
+        code = cli_dispatch(["beamform", "--channel", str(channel_file), "--method", "zf", "--method", "mmse",
+                             "--method", "zf", "--csv", str(out), "--quiet"])
+        assert code == 2
+        assert "'zf' is named twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_channel_flag_is_usage_error(self, capsys):
         assert cli_dispatch(["beamform", "--method", "zf"]) == 2
@@ -363,6 +393,7 @@ class TestConfigParsedLikeFlags:
             (["beamform", "--channel", CHANNEL], "method = zf", ["--method", "zf"], "--csv", 0),
             (["beamform", "--channel", CHANNEL, "--method", "mmse"], "method = zf", [], "--csv", 0),
             (["beamform", "--channel", CHANNEL, "--meth", "mmse"], "method = zf", [], "--csv", 0),
+            (["beamform", "--channel", CHANNEL, "--method", "zf"], "method = zf", [], "--csv", 0),
             (["masks", "--L", "2", "--K", "3"], "quiet = no", ["--quiet", "no"], "--out", 2),
             (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = true", ["--causal"], "--out", 0),
             (["masks", "--L", "2", "--K", "3", "--pattern", "fixed"], "causal = False", [], "--out", 0),
@@ -373,7 +404,7 @@ class TestConfigParsedLikeFlags:
             (["sweep", "--realizations", "2", "--snr-db", "5"], "methods = zf,zf", ["--methods", "zf,zf"], "--out", 2),
         ],
         ids=["int", "trials", "untyped", "pattern", "mode", "lambda", "time_bias", "range",
-             "append", "explicit-append-wins", "abbreviated-append-wins", "switch", "switch-true", "switch-false",
+             "append", "explicit-append-wins", "abbreviated-append-wins", "explicit-append-replaces-same", "switch", "switch-true", "switch-false",
              "snr-list-not-numbers", "snr-list-empty", "method-list-unknown", "method-list-empty",
              "method-list-repeated"],
     )

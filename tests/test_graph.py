@@ -23,12 +23,12 @@ from sparsebeam import (
     verify_partition,
 )
 
-from conftest import BATTERY_GRIDS
+from conftest import BATTERY_GRIDS, head_subset
 from reference import diameter_by_powering, hop_diameter_reference
 
 
-def dense_union(maskset, heads=None, undirected=False):
-    indptr, indices = union_adjacency(maskset, heads=heads, undirected=undirected)
+def dense_union(maskset, undirected=False):
+    indptr, indices = union_adjacency(maskset, undirected=undirected)
     tokens = maskset.tokens
     dense = np.zeros((tokens, tokens), dtype=bool)
     for i in range(tokens):
@@ -116,14 +116,14 @@ class TestHopDiameter:
         assert hop_diameter(masks, "undirected").diameter == 1
 
     def test_head0_only_is_unreachable_across_classes(self, canonical_masks):
-        result = hop_diameter(canonical_masks, "directed", heads=[0])
+        result = hop_diameter(head_subset(canonical_masks, [0]), "directed")
         assert result.diameter is None
         assert 0 < len(result.unreachable_pairs) <= 10
         src, dst = result.unreachable_pairs[0]
         assert src % 26 != dst % 26
 
     def test_head0_components_match_classes(self, canonical_masks):
-        dense = dense_union(canonical_masks, heads=[0], undirected=True)
+        dense = dense_union(head_subset(canonical_masks, [0]), undirected=True)
         classes = equivalence_classes(672, 26)
         for cls in classes:
             block = dense[np.ix_(cls, cls)]
@@ -183,8 +183,11 @@ class TestHopDiameter:
     @pytest.mark.parametrize("mode", ["directed", "undirected"])
     @pytest.mark.parametrize("kwargs", [{"heads": [0]}, {"bfs_cap": 100, "sample": True, "sample_sources": 32}])
     def test_canonical_matches_per_source_oracle(self, canonical_masks, mode, kwargs):
-        expected = hop_diameter_reference(canonical_masks, mode, **kwargs).to_json_dict()
-        assert hop_diameter(canonical_masks, mode, **kwargs).to_json_dict() == expected
+        # "heads" picks the heads of the measured mask set
+        kwargs = dict(kwargs)
+        masks = head_subset(canonical_masks, kwargs.pop("heads")) if "heads" in kwargs else canonical_masks
+        expected = hop_diameter_reference(masks, mode, **kwargs).to_json_dict()
+        assert hop_diameter(masks, mode, **kwargs).to_json_dict() == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -259,7 +262,7 @@ class TestHopDiameter:
         assert hop_diameter(build_doppler_masks(GridSpec(*spec)), "directed").unreachable_pairs == pairs
 
     def test_witnesses_in_source_then_target_order(self, canonical_masks):
-        result = hop_diameter(canonical_masks, "directed", heads=[0])
+        result = hop_diameter(head_subset(canonical_masks, [0]), "directed")
         assert result.unreachable_pairs == [(0, j) for j in range(1, 11)]
         assert result.source_count == 672 and not result.sampled
 
