@@ -19,9 +19,9 @@ def ascii_row(grid, masks, head, query):
     """Draw one query's attended keys on the 2D grid."""
     canvas = [["." for _ in range(grid.subcarriers)] for _ in range(grid.symbols)]
     for j in masks.row(head, query):
-        t, f = grid.grid_position(int(j))
+        t, f = divmod(int(j), grid.subcarriers)
         canvas[t][f] = "#"
-    tq, fq = grid.grid_position(query)
+    tq, fq = divmod(query, grid.subcarriers)
     canvas[tq][fq] = "Q" if canvas[tq][fq] == "." else "@"
     return "\n".join(" ".join(row) for row in canvas)
 

@@ -21,7 +21,7 @@ masks = build_doppler_masks(grid)
 check = verify_partition(masks)
 classes = equivalence_classes(grid.tokens, 26)
 sizes = [c.size for c in classes]
-print(f"partition check passed: {check.passed}, components: {check.component_count}")
+print(f"partition check passed: {check.passed}, components: {len(classes)}")
 print(f"class sizes: {sizes.count(26)} classes of 26 tokens, {sizes.count(25)} of 25")
 
 print()

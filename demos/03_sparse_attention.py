@@ -66,8 +66,7 @@ print("head 0 rows depend on i mod s, lattice rows on (i mod st, i mod sf); each
 print()
 print("=== 6. Attended-keys histogram on the canonical slot ===")
 slot = GridSpec(symbols=14, subcarriers=48, heads=2, time_bias=2.0)
-report = attended_keys_histogram(build_doppler_masks(slot))
-print(f"queries per head: {report.total_queries}")
-for h, counter in enumerate(report.per_head):
+print(f"queries per head: {slot.tokens}")
+for h, counter in enumerate(attended_keys_histogram(build_doppler_masks(slot))):
     print(f"head {h}: {{row length: query count}} = {counter}")
 print("each head concentrates on a narrow band of row lengths: the sparsity is structural, not incidental")

@@ -58,7 +58,7 @@ h_true = rayleigh(8, 2, 7)
 h_est = h_true + 0.4 * rayleigh(8, 2, 8)
 sigma2 = 0.1
 start = sum_rate(power_project(mmse_combiner(h_est, sigma2)), h_true, sigma2)
-cfg = OptimizerConfig(iterations=400, gradient="analytic", step_size=0.1)
+cfg = OptimizerConfig(iterations=400, gradient="analytic")
 result = optimize_sum_rate(h_est, h_true, sigma2, cfg)
 trace = result.trace
 print(f"MMSE-from-estimate start: {start:.3f} bps/Hz, summed over the 2 users")

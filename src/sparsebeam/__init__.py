@@ -11,7 +11,6 @@ from ._buildinfo import VERSION as __version__, build_hash
 from .attention import (
     AttentionResult,
     EmbeddingBlock,
-    HistogramReport,
     attended_keys_histogram,
     dense_masked_oracle,
     gradient_check,

@@ -232,25 +232,11 @@ def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet) -> float:
     return worst
 
 
-@dataclass
-class HistogramReport:
-    """Per-head histogram of attended-key counts per query."""
-
-    per_head: list[dict[int, int]]
-    total_queries: int
-
-    def to_rows(self) -> list[tuple[int, int, int]]:
-        rows = []
-        for h, counter in enumerate(self.per_head):
-            for length in sorted(counter):
-                rows.append((h, length, counter[length]))
-        return rows
-
-
-def attended_keys_histogram(masks: SparseMaskSet) -> HistogramReport:
-    """Histogram of row lengths per head: each query counts once."""
+def attended_keys_histogram(masks: SparseMaskSet) -> list[dict[int, int]]:
+    """Histogram of row lengths per head, `{row length: query count}`
+    in increasing length: each query counts once."""
     per_head = []
     for h in range(masks.head_count):
         counts = Counter(int(n) for n in masks.row_lengths(h))
         per_head.append(dict(sorted(counts.items())))
-    return HistogramReport(per_head=per_head, total_queries=masks.tokens)
+    return per_head

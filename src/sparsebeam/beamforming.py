@@ -28,6 +28,7 @@ _ROW_NORM_SLACK = 1e-12
 _FD_STEP = 1e-6
 _LOOKAHEAD_EVERY = 13
 _LOOKAHEAD_COEFF = 0.5
+_STEP_SIZE = 0.05  # ascent step on the per-user mean rate
 
 LOG2 = np.log(2.0)
 
@@ -220,7 +221,6 @@ class OptimizerConfig:
     differences each step (slow, exact contract).
     """
 
-    step_size: float = 0.05
     iterations: int = 100
     gradient: str = "analytic"
 
@@ -229,8 +229,6 @@ class OptimizerConfig:
             raise ValueError("gradient must be 'fd' or 'analytic'")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError("step size must be finite and > 0")
 
 
 @dataclass
@@ -250,7 +248,6 @@ def optimize_sum_rate(
     channel_true,
     noise_power: float,
     config: OptimizerConfig | None = None,
-    initial=None,
 ) -> OptimizeResult:
     """Directly maximize the sum rate over the combiner, for one channel
     matrix or a stack (..., antennas, users) in one ascent loop.
@@ -262,12 +259,9 @@ def optimize_sum_rate(
     returned trace is the best rate seen up to each iteration and is
     non-decreasing by construction.  Every stack entry keeps its own
     best iterate and trace, exactly as if it ran alone.  Each step is
-    `step_size / users` times the sum-rate gradient, that is
-    `step_size` on the per-user mean rate.  Lookahead runs every 13
-    steps with coefficient 0.5.
-
-    `initial` overrides the starting combiner (a random start is
-    `power_project` of a seeded draw) and broadcasts over the stack.
+    `0.05 / users` times the sum-rate gradient, that is 0.05 on the
+    per-user mean rate.  Lookahead runs every 13 steps with coefficient
+    0.5.  A different start is a different estimate.
     """
     cfg = config or OptimizerConfig()
     h_est = _as_channel(channel_est)
@@ -279,14 +273,8 @@ def optimize_sum_rate(
         raise ValueError("optimizer is desk-scale: antennas <= 16, users <= 4")
     if not (0 < noise_power < math.inf):
         raise ValueError("optimization needs a finite noise power > 0")
-    stack = h_true.shape[:-2]
-    if initial is None:
-        fast = power_project(mmse_combiner(h_est, noise_power))
-    else:
-        start = np.broadcast_to(np.asarray(initial, dtype=np.complex128), stack + (users, antennas))
-        fast = power_project(np.ascontiguousarray(start))
+    fast = power_project(mmse_combiner(h_est, noise_power))
     slow = fast
-    step_size = cfg.step_size / users
 
     def rate_and_gradient(w):
         if cfg.gradient == "analytic":
@@ -299,7 +287,7 @@ def optimize_sum_rate(
     for step in range(1, cfg.iterations + 1):
         if grad is None:
             grad = finite_difference_gradient(fast, h_true, noise_power)
-        fast = power_project(fast + step_size * grad)
+        fast = power_project(fast + (_STEP_SIZE / users) * grad)
         if step % _LOOKAHEAD_EVERY == 0:
             slow = lookahead_update(slow, fast, _LOOKAHEAD_COEFF)
             fast = slow.copy()

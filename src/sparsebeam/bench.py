@@ -120,6 +120,22 @@ def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerC
     raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
 
 
+def score(methods, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> dict:
+    """{method: (rates, sinrs)} of each method's combiner built from
+    `estimate` and scored against `target`, one matrix or a stack; the
+    one scoring path of the sweep and the `beamform` command.  A
+    singular entry raises `SingularChannelError` with `.singular`, its
+    message naming the method."""
+    scores = {}
+    for method in methods:
+        try:
+            w = combiner(method, estimate, target, sigma2, optimizer)
+        except SingularChannelError as exc:
+            raise SingularChannelError(f"{exc}: {method}", exc.singular) from exc
+        scores[method] = sum_rate(w, target, sigma2), sinr(w, target, sigma2)
+    return scores
+
+
 def pilot_and_target(symbols: int, subcarriers: int) -> tuple:
     """The protocol's (symbol indices, subcarrier indices): the pilot at
     the first symbol and the target at the last, both at the centre
@@ -155,15 +171,15 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
         ok = np.ones(todo.size, dtype=bool)
         while ok.any():
             live = todo[ok]
-            est, tgt = estimate[live], target[live]
             try:
-                for method in config.methods:
-                    w = combiner(method, est, tgt, sigma2, config.optimizer)
-                    rates[method][live] = sum_rate(w, tgt, sigma2)
-                    sinrs[method][live] = sinr(w, tgt, sigma2)
-                break
+                scores = score(config.methods, estimate[live], target[live], sigma2, config.optimizer)
             except SingularChannelError as exc:
                 ok[ok] = ~exc.singular
+                continue
+            for method, (method_rates, method_sinrs) in scores.items():
+                rates[method][live] = method_rates
+                sinrs[method][live] = method_sinrs
+            break
         todo = todo[~ok]
         if not todo.size:
             return rates, sinrs, resampled

@@ -21,6 +21,8 @@ SPEED_OF_LIGHT = 2.99792458e8
 CHANNEL_FILE_MAGIC = int.from_bytes(b"SBCHAN01", "little")
 CHANNEL_FILE_VERSION = 1
 
+_NUM_SINUSOIDS = 32  # sum-of-sinusoids components per path
+
 
 def max_doppler(velocity_mps: float, carrier_hz: float) -> float:
     """Maximum Doppler shift velocity * carrier / c in Hz."""
@@ -38,13 +40,10 @@ class DopplerConfig:
 
     carrier_hz: float = 2.6e9
     velocity_mps: float | tuple[float, float] = (0.0, 10.0)
-    num_sinusoids: int = 32
 
     def __post_init__(self):
         if not (0 < self.carrier_hz < math.inf):
             raise ValueError("carrier frequency must be finite and > 0")
-        if self.num_sinusoids < 8:
-            raise ValueError("need at least 8 sinusoid components")
         lo, hi = self.velocity_bounds
         if not (0 <= lo <= hi < math.inf):
             raise ValueError("velocity range must be finite with 0 <= lo <= hi")
@@ -56,10 +55,6 @@ class DopplerConfig:
             lo, hi = v
             return float(lo), float(hi)
         return float(v), float(v)
-
-    @property
-    def max_doppler_hz(self) -> float:
-        return max_doppler(self.velocity_bounds[1], self.carrier_hz)
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ def _draw_paths(ofdm: OfdmConfig, doppler: DopplerConfig, antennas: int, users: 
     lo, hi = doppler.velocity_bounds
     velocities = rng.uniform(lo, hi, users) if hi > lo else np.full(users, lo)
     doppler_hz = velocities * doppler.carrier_hz / SPEED_OF_LIGHT
-    shape = (users, antennas, ofdm.num_taps, doppler.num_sinusoids)
+    shape = (users, antennas, ofdm.num_taps, _NUM_SINUSOIDS)
     theta = rng.uniform(0.0, 2.0 * np.pi, shape)
     phi = rng.uniform(0.0, 2.0 * np.pi, shape)
     return doppler_hz, theta, phi
@@ -212,6 +207,8 @@ def write_channel_file(path, batch: np.ndarray, seed: int) -> None:
     arr = np.ascontiguousarray(batch, dtype=np.complex128)
     if arr.ndim != 5 or 0 in arr.shape:
         raise ValueError("batch must have shape (R, L, K, M, N) with every axis >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer for the file header, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64) for the file header, got {seed}")
     r, sym, sub, m, n = arr.shape

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import _buildinfo
 from .attention import EmbeddingBlock, attended_keys_histogram, dense_masked_oracle, gradient_check, sparse_attention_forward
-from .beamforming import OptimizerConfig, sinr, sum_rate
-from .bench import KNOWN_METHODS, SweepConfig, combiner, export_report, pilot_and_target, run_sweep
+from .beamforming import OptimizerConfig
+from .bench import KNOWN_METHODS, SweepConfig, export_report, pilot_and_target, run_sweep, score
 from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, read_channel_file, write_channel_file
 from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
@@ -174,15 +175,14 @@ def _cmd_attn_check(args) -> int:
 def _cmd_histogram(args) -> int:
     grid = _grid_from(args)
     masks = build_doppler_masks(grid)
-    report = attended_keys_histogram(masks)
     lines = ["head,row_length,query_count"]
-    for head, length, count in report.to_rows():
-        lines.append(f"{head},{length},{count}")
+    for head, counts in enumerate(attended_keys_histogram(masks)):
+        lines += [f"{head},{length},{count}" for length, count in counts.items()]
     payload = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
-        _say(args, f"wrote {args.out} ({report.total_queries} queries per head)")
+        _say(args, f"wrote {args.out} ({masks.tokens} queries per head)")
     else:
         print(payload, end="")
     return 0
@@ -206,20 +206,18 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_beamform(args) -> int:
+    if not math.isfinite(args.snr_db):
+        raise ValueError(f"--snr-db must be finite, got {args.snr_db}")
     batch, meta = read_channel_file(args.channel)
     symbols, subcarriers = pilot_and_target(meta["symbols"], meta["subcarriers"])
     pilot, target = batch[:, symbols, subcarriers].swapaxes(0, 1)
     estimate = np.stack([add_estimation_error(h, args.est_snr_db, (args.seed, r)) for r, h in enumerate(pilot)])
     sigma2 = 10.0 ** (-args.snr_db / 10.0)
-    opt_cfg = OptimizerConfig(iterations=args.opt_iterations)
-    scores = {}
-    for method in args.method:
-        try:
-            w = combiner(method, estimate, target, sigma2, opt_cfg)
-        except SingularChannelError as exc:
-            bad = np.flatnonzero(exc.singular).tolist()
-            raise SingularChannelError(f"{exc}: {method} on realization(s) {bad} of {args.channel}", exc.singular) from exc
-        scores[method] = sum_rate(w, target, sigma2), sinr(w, target, sigma2)
+    try:
+        scores = score(args.method, estimate, target, sigma2, OptimizerConfig(iterations=args.opt_iterations))
+    except SingularChannelError as exc:
+        bad = np.flatnonzero(exc.singular).tolist()
+        raise SingularChannelError(f"{exc} on realization(s) {bad} of {args.channel}", exc.singular) from exc
     header = ["realization", "method", "snr_db", "sum_rate_bpshz"]
     header += [f"per_ue_sinr_db_{k}" for k in range(meta["users"])]
     lines = [",".join(header)]

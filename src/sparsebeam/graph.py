@@ -49,7 +49,6 @@ def equivalence_classes(tokens: int, stride: int) -> list[np.ndarray]:
 @dataclass
 class PartitionCheck:
     passed: bool
-    component_count: int
     witness: tuple[int, int] | None = None
     witness_kind: str | None = None  # "inter_class_edge" | "missing_intra_class_edge"
 
@@ -73,10 +72,10 @@ def verify_partition(maskset: SparseMaskSet) -> PartitionCheck:
             continue
         extra = np.setdiff1d(row, expected, assume_unique=False)
         if extra.size:
-            return PartitionCheck(False, 0, witness=(i, int(extra[0])), witness_kind="inter_class_edge")
+            return PartitionCheck(False, witness=(i, int(extra[0])), witness_kind="inter_class_edge")
         missing = np.setdiff1d(expected, row, assume_unique=False)
-        return PartitionCheck(False, 0, witness=(i, int(missing[0])), witness_kind="missing_intra_class_edge")
-    return PartitionCheck(True, min(s, tokens))
+        return PartitionCheck(False, witness=(i, int(missing[0])), witness_kind="missing_intra_class_edge")
+    return PartitionCheck(True)
 
 
 def effective_step(stride_time: int, stride_freq: int, subcarriers: int) -> int:
@@ -175,10 +174,6 @@ class HopDiameterResult:
     unreachable_pairs: list[tuple[int, int]] = field(default_factory=list)
     source_count: int = 0
     sampled: bool = False
-
-    @property
-    def reachable(self) -> bool:
-        return self.diameter is not None
 
     def to_json_dict(self) -> dict:
         return {

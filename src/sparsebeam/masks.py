@@ -69,11 +69,6 @@ class GridSpec:
             raise ValueError("grid position out of range")
         return sym * self.subcarriers + sub
 
-    def grid_position(self, token: int) -> tuple[int, int]:
-        if not (0 <= token < self.tokens):
-            raise ValueError("token index out of range")
-        return divmod(token, self.subcarriers)
-
     def to_json_dict(self) -> dict:
         """The grid as JSON: keys L, K, p and lambda, in that order."""
         return {"L": self.symbols, "K": self.subcarriers, "p": self.heads, "lambda": self.time_bias}
@@ -352,16 +347,6 @@ class SparseMaskSet:
             "row_classes_per_head": per_head_classes,
             "queries_without_keys": int((union_lengths == 0).sum()),
         }
-
-    def equals(self, other) -> bool:
-        if self.grid != other.grid or self.pattern_kind != other.pattern_kind:
-            return False
-        if self.causal != other.causal or self.head_count != other.head_count:
-            return False
-        return all(
-            np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-            for a, b in zip(self._heads, other._heads)
-        )
 
     def to_json_dict(self) -> dict:
         return {

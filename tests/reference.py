@@ -142,13 +142,14 @@ def softmax_rows_reference(scores, allowed):
     return weights
 
 
-def optimize_reference(channel_est, channel_true, noise_power, config, initial=None):
+def optimize_reference(channel_est, channel_true, noise_power, config):
     """`optimize_sum_rate` on one channel matrix by the literal per-matrix
-    ascent loop: start from `initial` or the projected MMSE combiner of
-    the estimate, step by `step_size / users` times the gradient,
+    ascent loop: start from the projected MMSE combiner of the estimate,
+    step by `_STEP_SIZE / users` (0.05 / users) times the gradient,
     project, absorb the lookahead (every 13 steps, coefficient 0.5), and
     keep the best iterate seen."""
     from sparsebeam.beamforming import (
+        _STEP_SIZE,
         OptimizeResult,
         _rate_and_gradient,
         finite_difference_gradient,
@@ -160,10 +161,7 @@ def optimize_reference(channel_est, channel_true, noise_power, config, initial=N
 
     h_true = np.asarray(channel_true, dtype=np.complex128)
     users = h_true.shape[1]
-    if initial is not None:
-        fast = power_project(np.asarray(initial, dtype=np.complex128))
-    else:
-        fast = power_project(mmse_combiner(channel_est, noise_power))
+    fast = power_project(mmse_combiner(channel_est, noise_power))
     slow = fast.copy()
 
     best_rate = sum_rate(fast, h_true, noise_power)
@@ -174,7 +172,7 @@ def optimize_reference(channel_est, channel_true, noise_power, config, initial=N
             grad = _rate_and_gradient(fast, h_true, noise_power)[1]
         else:
             grad = finite_difference_gradient(fast, h_true, noise_power)
-        fast = power_project(fast + (config.step_size / users) * grad)
+        fast = power_project(fast + (_STEP_SIZE / users) * grad)
         if step % 13 == 0:
             slow = lookahead_update(slow, fast, 0.5)
             fast = slow.copy()

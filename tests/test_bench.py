@@ -11,11 +11,9 @@ from reference import sweep_points_reference
 
 from sparsebeam import (
     OptimizerConfig,
-    SparseMaskSet,
     SweepConfig,
     bench,
     export_report,
-    graph,
     run_sweep,
 )
 from sparsebeam.bench import CSV_HEADER, SweepResult
@@ -257,41 +255,3 @@ class TestSumRateLock:
         for p in points:
             mean_rate, stderr = PER_USER_MEAN_LOCK[(p.method, p.v_min, p.snr_db)]
             assert (p.mean_sum_rate, p.stderr) == (2 * mean_rate, 2 * stderr), (p.method, p.v_min, p.snr_db)
-
-
-class TestBenchmarkContract:
-    """perfbench's tracer patches names of `bench`, `graph` and
-    `SparseMaskSet`; installing it fails if one of them is gone."""
-
-    def test_tracer_installs_and_restores(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        import spans
-        import workloads  # noqa: F401  (imports every sparsebeam name the workloads use)
-
-        owners = (bench, graph, SparseMaskSet)
-        before = [dict(vars(owner)) for owner in owners]
-        tracer = spans.Tracer()
-        try:
-            tracer.install()
-            patched = list(tracer._saved)
-        finally:
-            tracer.uninstall()
-        assert {owner for owner, _, _ in patched} == set(owners)
-        for owner, saved in zip(owners, before):
-            assert vars(owner).keys() == saved.keys()
-            assert all(vars(owner)[name] is value for name, value in saved.items()), owner
-
-    @pytest.mark.parametrize("name", ["sweep_full", "sweep_linear", "connectivity", "attention"])
-    def test_workload_round_and_gates_pass(self, monkeypatch, tmp_path, name):
-        # one untraced round as perfbench's probe runs it, in process and
-        # without the clock's timer signal: every unit and every gate holds
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        import clock
-        import workloads
-
-        wl = workloads.WORKLOADS[name]
-        state = wl.setup(3)
-        oks = wl.run_round(state, 0, clock.UnitClock(wl.reference))
-        checks, _, _ = wl.finish(state, tmp_path)
-        assert oks and all(oks)
-        assert all(ok for _, ok in checks), checks

@@ -50,7 +50,7 @@ class TestDopplerConfig:
     def test_derived_doppler_consistency(self):
         cfg = DopplerConfig(carrier_hz=2.6e9, velocity_mps=(30.0, 40.0))
         expected = 40.0 * 2.6e9 / SPEED_OF_LIGHT
-        assert abs(cfg.max_doppler_hz - expected) / expected < 1e-9
+        assert abs(max_doppler(cfg.velocity_bounds[1], cfg.carrier_hz) - expected) / expected < 1e-9
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
@@ -66,12 +66,12 @@ class TestDopplerConfig:
             DopplerConfig(**fields)
 
 
-def fading(doppler_hz, symbol_s, symbols, realizations, seed, num_sinusoids=32):
+def fading(doppler_hz, symbol_s, symbols, realizations, seed):
     """(realizations, symbols) fading draws of the one generator: one tap,
     antenna, user and subcarrier, at the velocity whose Doppler shift on
     the 2.6 GHz carrier is `doppler_hz`."""
     ofdm = OfdmConfig(symbols=symbols, subcarriers=1, num_taps=1, tti_s=symbols * symbol_s)
-    doppler = DopplerConfig(velocity_mps=doppler_hz * SPEED_OF_LIGHT / 2.6e9, num_sinusoids=num_sinusoids)
+    doppler = DopplerConfig(velocity_mps=doppler_hz * SPEED_OF_LIGHT / 2.6e9)
     return generate_channel_batch(ofdm, doppler, 1, 1, realizations, seed)[:, :, 0, 0, 0]
 
 
@@ -105,13 +105,14 @@ class TestJakesFading:
         g = fading(doppler_hz, 1.0 / (2.0 * doppler_hz), 2, 10000, seed=1)
         assert abs((g[:, 1] * np.conj(g[:, 0])).real.mean() - j0(np.pi)) <= 0.05
 
-    @pytest.mark.parametrize("symbols, velocity, sinusoids", [(14, 40.0, 32), (1, 3.0, 8), (7, 0.0, 16), (20, 120.0, 50)])
-    def test_generator_path_is_jakes(self, symbols, velocity, sinusoids):
+    @pytest.mark.parametrize("symbols, velocity", [(14, 40.0), (1, 3.0), (7, 0.0), (20, 120.0)])
+    def test_generator_path_is_jakes(self, symbols, velocity):
         # one tap, antenna and user at a fixed velocity: on every subcarrier
-        # the channel is the Jakes sum of sinusoids, term by term, with the
-        # arrival angles and then the phases drawn from the stream (seed, r)
+        # the channel is the Jakes sum of 32 sinusoids, term by term, with
+        # the arrival angles and then the phases drawn from the stream (seed, r)
+        sinusoids = 32
         ofdm = OfdmConfig(symbols=symbols, subcarriers=3, num_taps=1)
-        doppler = DopplerConfig(carrier_hz=2.6e9, velocity_mps=velocity, num_sinusoids=sinusoids)
+        doppler = DopplerConfig(carrier_hz=2.6e9, velocity_mps=velocity)
         times = np.arange(symbols) * ofdm.symbol_duration_s
         shift = 2.0 * np.pi * max_doppler(velocity, 2.6e9)
         batch = generate_channel_batch(ofdm, doppler, 1, 1, 10, seed=0)
@@ -124,15 +125,13 @@ class TestJakesFading:
                 np.testing.assert_allclose(batch[r, :, k, 0, 0], g, rtol=0, atol=1e-12)
 
     def test_determinism(self):
-        a = fading(100.0, 1e-4, 5, 3, seed=3, num_sinusoids=8)
-        assert np.array_equal(a, fading(100.0, 1e-4, 5, 3, seed=3, num_sinusoids=8))
-        assert not np.array_equal(a, fading(100.0, 1e-4, 5, 3, seed=4, num_sinusoids=8))
+        a = fading(100.0, 1e-4, 5, 3, seed=3)
+        assert np.array_equal(a, fading(100.0, 1e-4, 5, 3, seed=3))
+        assert not np.array_equal(a, fading(100.0, 1e-4, 5, 3, seed=4))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DopplerConfig(velocity_mps=-1.0)
-        with pytest.raises(ValueError, match="8 sinusoid"):
-            DopplerConfig(num_sinusoids=4)
 
 
 class TestGenerateChannel:
@@ -360,6 +359,18 @@ class TestChannelFile:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             write_channel_file(path, np.zeros((1, 1, 1, 1, 1), dtype=complex), seed=seed)
         assert not path.exists()
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None])
+    def test_seed_must_be_a_non_bool_integer(self, tmp_path, seed):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            write_channel_file(path, np.zeros((1, 1, 1, 1, 1), dtype=complex), seed=seed)
+        assert not path.exists()
+
+    def test_numpy_integer_seed_is_written(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_channel_file(path, np.zeros((1, 1, 1, 1, 1), dtype=complex), seed=np.uint64(2**64 - 1))
+        assert read_channel_file(path)[1]["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("axis", range(5))
     def test_empty_axis_rejected_on_write(self, tmp_path, axis):

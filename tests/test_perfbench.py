@@ -12,6 +12,7 @@ is written under perfbench/ (no bytecode either).
 
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -69,3 +70,37 @@ def test_traced_round_restores_every_patch(harness, capsys, name):
     for owner, saved in zip(owners, before):
         assert vars(owner).keys() == saved.keys()
         assert all(vars(owner)[attr] is value for attr, value in saved.items()), owner
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TypeError,
+    reason="the clock's SIGALRM handler opens a span inside Tracer.open; ROADMAP item 1b",
+)
+def test_timer_signal_inside_open_gives_every_span_its_end(monkeypatch):
+    # the clock's reference sample lands in `Tracer.open` after it took
+    # the new span's index and before it appended the span
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import clock
+    import spans
+
+    tracer = spans.Tracer()
+    timer = clock.UnitClock(clock.interpreter_reference)
+    timer.tracer = tracer
+
+    class SignalAfterLen(list):
+        fired = False
+
+        def __len__(self):
+            length = super().__len__()
+            if not self.fired:
+                self.fired = True
+                timer._sample(signal.SIGALRM, None)
+            return length
+
+    tracer.spans = SignalAfterLen()
+    tracer.call("graph.union_adjacency", lambda: None)
+    tracer.units = 1
+    spans.layer_metrics(tracer)
+    assert all(end is not None for _, _, end, _ in tracer.spans)
