@@ -211,6 +211,13 @@ def finite_difference_gradient(combiner, channel, noise_power) -> np.ndarray:
     return grad
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise `ValueError` naming `name` unless `value` is a non-bool
+    integer (Python or numpy) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Projected-gradient-ascent settings for direct sum-rate maximization.
@@ -227,8 +234,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.gradient not in ("fd", "analytic"):
             raise ValueError("gradient must be 'fd' or 'analytic'")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        _check_count("iterations", self.iterations, 0)
 
 
 @dataclass

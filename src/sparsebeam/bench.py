@@ -17,6 +17,7 @@ method builds and scores all of the cell's combiners in one call.
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -26,6 +27,7 @@ import numpy as np
 from . import _buildinfo, beamforming
 from .beamforming import (
     OptimizerConfig,
+    _check_count,
     mmse_combiner,
     optimize_sum_rate,  # unused here; perfbench's span tracer wraps bench.optimize_sum_rate
     power_project,
@@ -61,11 +63,15 @@ class SweepConfig:
             raise ValueError("need at least one SNR point and one velocity range")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError("SNR points must be finite")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        for name in ("realizations", "rx_antennas", "users"):
+            _check_count(name, getattr(self, name), 1)
+        if not (math.isfinite(self.est_snr_db) or self.est_snr_db == math.inf):
+            raise ValueError(f"est_snr_db must be finite or +inf, got {self.est_snr_db}")
         bad = set(self.methods) - set(KNOWN_METHODS)
         if bad or not self.methods or len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}, each named once")
+        if "zf" in self.methods and self.rx_antennas < self.users:
+            raise ValueError("zf needs rx_antennas >= users")
 
 
 @dataclass
@@ -150,7 +156,8 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
     Realization r at attempt a draws from the derived seed (seed, cell,
     r, a).  Every method runs once on the stack of the cell's draws; an
     entry that is singular for any method is redrawn at the next
-    attempt, the others keep their results.
+    attempt, the others keep their results.  A redraw that would take
+    the resamples above 0.1% of the cell's draws raises instead.
     """
     ofdm = OfdmConfig()
     doppler = DopplerConfig(velocity_mps=velocity_range)
@@ -162,7 +169,7 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
     sinrs = {m: np.empty((config.realizations, config.users)) for m in config.methods}
     todo = np.arange(config.realizations)
     resampled = 0
-    for attempt in range(64):
+    for attempt in itertools.count():
         for r in todo:
             draw_seed = (config.seed, *point_key, int(r), attempt)
             rng = np.random.default_rng(draw_seed)
@@ -184,7 +191,8 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
         if not todo.size:
             return rates, sinrs, resampled
         resampled += todo.size
-    raise RuntimeError("could not draw a non-singular channel in 64 attempts")
+        if resampled > _RESAMPLE_BUDGET * (config.realizations + resampled):
+            raise RuntimeError(f"singular-channel resample rate above 0.1%: {resampled} resamples")
 
 
 def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) -> SweepResult:
@@ -201,10 +209,6 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
             sigma2 = 10.0 ** (-snr_db / 10.0)
             point_key = (v_idx, s_idx)
             cell_rates, cell_sinrs, resampled = _cell(config, point_key, sigma2, velocity_range)
-            if resampled > _RESAMPLE_BUDGET * max(1, config.realizations + resampled):
-                raise RuntimeError(
-                    f"singular-channel resample rate above 0.1%: {resampled} resamples"
-                )
             for method in config.methods:
                 rates, sinrs = cell_rates[method], cell_sinrs[method]
                 stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
@@ -240,6 +244,13 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 with "\\n" line ends: the
+    package's one way to write a text file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def export_report(result: SweepResult, fmt: str, path) -> None:
     """Write the sweep result as CSV (fixed columns, stable float
     formatting, byte-identical across reruns of the same config) or as
@@ -260,12 +271,9 @@ def export_report(result: SweepResult, fmt: str, path) -> None:
                     ]
                 )
             )
-        payload = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
     else:
         raise ValueError("format must be 'csv' or 'json'")
+    _write_text(path, text)

@@ -23,7 +23,7 @@ import numpy as np
 from . import _buildinfo
 from .attention import EmbeddingBlock, attended_keys_histogram, dense_masked_oracle, gradient_check, sparse_attention_forward
 from .beamforming import OptimizerConfig
-from .bench import KNOWN_METHODS, SweepConfig, export_report, pilot_and_target, run_sweep, score
+from .bench import KNOWN_METHODS, SweepConfig, _fmt, _write_text, export_report, pilot_and_target, run_sweep, score
 from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, read_channel_file, write_channel_file
 from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
@@ -57,10 +57,10 @@ def _add_common(parser):
 
 
 def _add_grid_args(parser):
-    parser.add_argument("--L", type=int, default=14, help="OFDM symbols (time axis)")
-    parser.add_argument("--K", type=int, default=48, help="subcarriers (frequency axis)")
-    parser.add_argument("--heads", type=int, default=2)
-    parser.add_argument("--lambda", dest="time_bias", type=float, default=2.0, help="time bias factor")
+    parser.add_argument("--L", type=int, default=OfdmConfig.symbols, help="OFDM symbols (time axis)")
+    parser.add_argument("--K", type=int, default=OfdmConfig.subcarriers, help="subcarriers (frequency axis)")
+    parser.add_argument("--heads", type=int, default=GridSpec.heads)
+    parser.add_argument("--lambda", dest="time_bias", type=float, default=GridSpec.time_bias, help="time bias factor")
 
 
 def _snr_list(text: str) -> tuple:
@@ -105,6 +105,16 @@ def _say(args, message):
         print(message)
 
 
+def _emit(path, text: str) -> bool:
+    """Write `text` to `path`, or print it when there is no path; True
+    when a file was written."""
+    if path:
+        _write_text(path, text)
+        return True
+    print(text, end="")
+    return False
+
+
 def _cmd_masks(args) -> int:
     grid = _grid_from(args)
     if args.pattern == "doppler":
@@ -113,17 +123,11 @@ def _cmd_masks(args) -> int:
         masks = build_doppler_masks(grid, max_tokens=args.max_tokens)
     else:
         masks = build_fixed_strided_masks(grid, causal=args.causal, max_tokens=args.max_tokens)
-    payload = json.dumps(masks.to_json_dict())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
+    if _emit(args.out, json.dumps(masks.to_json_dict()) + "\n"):
         report = masks.validation_report()
         _say(args, f"wrote {args.out}: {masks.head_count} heads x {masks.tokens} tokens, "
                    f"empty rows per head {report['empty_rows_per_head']}, "
                    f"row classes per head {report['row_classes_per_head']}")
-    else:
-        print(payload)
     return 0
 
 
@@ -133,9 +137,7 @@ def _cmd_graph(args) -> int:
     partition = verify_partition(masks)
     report = connectivity_report(grid, maskset=masks, sample=args.sample, seed=args.seed)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.report, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     if args.mode in ("directed", "both"):
         _say(args, f"directed diameter: {report.directed.diameter}")
     if args.mode in ("undirected", "both"):
@@ -178,13 +180,8 @@ def _cmd_histogram(args) -> int:
     lines = ["head,row_length,query_count"]
     for head, counts in enumerate(attended_keys_histogram(masks)):
         lines += [f"{head},{length},{count}" for length, count in counts.items()]
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+    if _emit(args.out, "\n".join(lines) + "\n"):
         _say(args, f"wrote {args.out} ({masks.tokens} queries per head)")
-    else:
-        print(payload, end="")
     return 0
 
 
@@ -224,35 +221,23 @@ def _cmd_beamform(args) -> int:
     for r in range(meta["realizations"]):
         for method in args.method:
             rates, gammas = scores[method]
-            sinr_db = ",".join(format(10.0 * np.log10(g), ".12g") for g in gammas[r])
-            lines.append(f"{r},{method},{format(args.snr_db, '.12g')},{format(rates[r], '.12g')},{sinr_db}")
-    payload = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            sinr_db = ",".join(_fmt(10.0 * np.log10(g)) for g in gammas[r])
+            lines.append(f"{r},{method},{_fmt(args.snr_db)},{_fmt(rates[r])},{sinr_db}")
+    if _emit(args.csv, "\n".join(lines) + "\n"):
         _say(args, f"wrote {args.csv} ({meta['realizations']} realizations)")
-    else:
-        print(payload, end="")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.snr_db is not None:
-        overrides["snr_db_list"] = args.snr_db
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.methods is not None:
-        overrides["methods"] = args.methods
-    if args.est_snr_db is not None:
-        overrides["est_snr_db"] = args.est_snr_db
     config = SweepConfig(
+        snr_db_list=args.snr_db,
+        realizations=args.realizations,
+        est_snr_db=args.est_snr_db,
+        methods=args.methods,
         seed=args.seed,
         optimizer=OptimizerConfig(iterations=args.opt_iterations),
-        **overrides,
     )
-    progress = None if args.quiet else (lambda vr, snr: print(f"  velocity {vr} snr {snr} dB done"))
-    result = run_sweep(config, progress=progress)
+    result = run_sweep(config, progress=lambda vr, snr: _say(args, f"  velocity {vr} snr {snr} dB done"))
     export_report(result, "csv", args.out)
     _say(args, f"wrote {args.out} ({len(result.points)} points)")
     if args.json:
@@ -303,17 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel", help="generate Doppler channel realizations to a binary file")
     _add_common(p)
-    p.add_argument("--v-min", type=float, default=0.0)
-    p.add_argument("--v-max", type=float, default=10.0)
-    p.add_argument("--fc", type=float, default=2.6e9)
-    p.add_argument("--rb", type=int, default=4, help="resource blocks (12 subcarriers each)")
-    p.add_argument("--symbols", type=int, default=14)
-    p.add_argument("--taps", type=int, default=4)
-    p.add_argument("--subcarrier-spacing", type=float, default=30e3)
-    p.add_argument("--tti", type=float, default=500e-6)
-    p.add_argument("--delay-spread", type=float, default=100e-9)
-    p.add_argument("--m", type=int, default=8, help="receive antennas")
-    p.add_argument("--n", type=int, default=2, help="single-antenna users")
+    p.add_argument("--v-min", type=float, default=DopplerConfig.velocity_mps[0])
+    p.add_argument("--v-max", type=float, default=DopplerConfig.velocity_mps[1])
+    p.add_argument("--fc", type=float, default=DopplerConfig.carrier_hz)
+    p.add_argument("--rb", type=int, default=OfdmConfig.subcarriers // 12, help="resource blocks (12 subcarriers each)")
+    p.add_argument("--symbols", type=int, default=OfdmConfig.symbols)
+    p.add_argument("--taps", type=int, default=OfdmConfig.num_taps)
+    p.add_argument("--subcarrier-spacing", type=float, default=OfdmConfig.subcarrier_spacing_hz)
+    p.add_argument("--tti", type=float, default=OfdmConfig.tti_s)
+    p.add_argument("--delay-spread", type=float, default=OfdmConfig.delay_spread_s)
+    p.add_argument("--m", type=int, default=SweepConfig.rx_antennas, help="receive antennas")
+    p.add_argument("--n", type=int, default=SweepConfig.users, help="single-antenna users")
     p.add_argument("--realizations", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_channel)
@@ -323,18 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True, help="file written by `sparsebeam channel`")
     p.add_argument("--method", action=_AppendOnce, choices=KNOWN_METHODS, required=True)
     p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--est-snr-db", type=float, default=float("inf"))
-    p.add_argument("--opt-iterations", type=int, default=100)
+    p.add_argument("--est-snr-db", type=float, default=SweepConfig.est_snr_db)
+    p.add_argument("--opt-iterations", type=int, default=OptimizerConfig.iterations)
     p.add_argument("--csv")
     p.set_defaults(handler=_cmd_beamform)
 
     p = sub.add_parser("sweep", help="full beamformer comparison sweep to CSV/JSON")
     _add_common(p)
-    p.add_argument("--snr-db", type=_snr_list, help="comma-separated SNR grid in dB")
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--methods", type=_method_list, help="comma-separated subset of zf,mmse,opt")
-    p.add_argument("--est-snr-db", type=float)
-    p.add_argument("--opt-iterations", type=int, default=100)
+    p.add_argument("--snr-db", type=_snr_list, default=SweepConfig.snr_db_list, help="comma-separated SNR grid in dB")
+    p.add_argument("--realizations", type=int, default=SweepConfig.realizations)
+    p.add_argument("--methods", type=_method_list, default=SweepConfig.methods, help="comma-separated subset of zf,mmse,opt")
+    p.add_argument("--est-snr-db", type=float, default=SweepConfig.est_snr_db)
+    p.add_argument("--opt-iterations", type=int, default=OptimizerConfig.iterations)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--json", help="also write the JSON mirror here")
     p.set_defaults(handler=_cmd_sweep)
@@ -417,7 +402,7 @@ def cli_dispatch(argv) -> int:
     except (ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, SingularChannelError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

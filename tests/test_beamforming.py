@@ -321,6 +321,15 @@ class TestOptimizer:
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
 
+    @pytest.mark.parametrize("iterations", [2.5, True, False, np.float64(3.0), "3", None])
+    def test_iterations_must_be_a_non_bool_integer(self, iterations):
+        # a float used to construct and then die in the optimizer's range()
+        with pytest.raises(ValueError, match="iterations must be an integer >= 0"):
+            OptimizerConfig(iterations=iterations)
+
+    def test_numpy_integer_iterations_accepted(self):
+        assert OptimizerConfig(iterations=np.int64(0)).iterations == 0
+
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError):
             optimize_sum_rate(rayleigh(32, 2, 0), rayleigh(32, 2, 0), 0.1)

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from reference import sweep_points_reference
 
@@ -89,9 +90,43 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("axis", ["rx_antennas", "users"])
     def test_empty_antenna_or_user_axis_rejected(self, axis):
-        config = SweepConfig(snr_db_list=(10.0,), velocity_ranges=((0.0, 10.0),), realizations=2, **{axis: 0})
-        with pytest.raises(ValueError, match="at least one antenna and one user"):
-            run_sweep(config, timestamp="t")
+        with pytest.raises(ValueError, match=f"{axis} must be an integer >= 1"):
+            SweepConfig(snr_db_list=(10.0,), velocity_ranges=((0.0, 10.0),), realizations=2, **{axis: 0})
+
+    @pytest.mark.parametrize("field", ["realizations", "rx_antennas", "users"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0), "2", None],
+                             ids=["2.5", "float", "True", "float64", "str", "None"])
+    def test_counts_must_be_non_bool_integers(self, field, value):
+        # a float or a bool used to construct and then die in the sweep
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SweepConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SweepConfig(realizations=np.int64(3), rx_antennas=np.int32(4), users=np.uint8(2))
+        assert (config.realizations, config.rx_antennas, config.users) == (3, 4, 2)
+
+    @pytest.mark.parametrize("est_snr_db", [math.nan, -math.inf])
+    def test_estimation_snr_must_be_finite_or_inf(self, est_snr_db):
+        with pytest.raises(ValueError, match="est_snr_db must be finite or \\+inf"):
+            SweepConfig(est_snr_db=est_snr_db)
+
+    def test_zf_needs_as_many_antennas_as_users(self):
+        # every zf draw would be singular, so the sweep would redraw in vain
+        with pytest.raises(ValueError, match="zf needs rx_antennas >= users"):
+            SweepConfig(rx_antennas=2, users=4, methods=("zf",))
+        with pytest.raises(ValueError, match="zf needs rx_antennas >= users"):
+            SweepConfig(rx_antennas=2, users=4)
+
+    def test_regularized_methods_run_with_more_users_than_antennas(self):
+        config = SweepConfig(
+            snr_db_list=(10.0,), velocity_ranges=((0.0, 10.0),), rx_antennas=2, users=4, realizations=3,
+            methods=("mmse", "opt"), optimizer=OptimizerConfig(iterations=2),
+        )
+        points = run_sweep(config, timestamp="t").points
+        assert [p.method for p in points] == ["mmse", "opt"]
+        for p in points:
+            assert p.resampled == 0 and len(p.per_ue_mean_sinr) == 4
+            assert math.isfinite(p.mean_sum_rate) and p.mean_sum_rate > 0
 
 
 def _as_dicts(points):
@@ -138,12 +173,24 @@ class TestBatchedEngine:
         assert [p.resampled for p in batched] == [1, 1, 1]
         assert _as_dicts(batched) == _as_dicts(sweep_points_reference(config))
 
-    def test_more_users_than_antennas_exhausts_attempts(self):
-        config = SweepConfig(
-            snr_db_list=(10.0,), velocity_ranges=((0.0, 10.0),), rx_antennas=2, users=4, realizations=2, methods=("zf",)
-        )
-        with pytest.raises(RuntimeError, match="64 attempts"):
+    def test_resample_beyond_budget_raises_before_redraw(self, monkeypatch):
+        # below 999 realizations one resample already exceeds 0.1% of the
+        # cell's draws, so the singular realization is never drawn again
+        original = bench._generate_true
+        draws = []
+
+        def lose_user_zero(*args, **kwargs):
+            out = original(*args, **kwargs)
+            draws.append(tuple(args[4].bit_generator.seed_seq.entropy[-2:]))
+            if draws[-1] == (3, 0):
+                out[..., 0] = 0.0
+            return out
+
+        monkeypatch.setattr(bench, "_generate_true", lose_user_zero)
+        config = SweepConfig(snr_db_list=(10.0,), velocity_ranges=((30.0, 40.0),), realizations=12, methods=("zf",))
+        with pytest.raises(RuntimeError, match="resample rate above 0.1%: 1 resamples"):
             run_sweep(config, timestamp="t")
+        assert draws == [(r, 0) for r in range(12)]
 
     def test_progress_once_per_cell(self):
         calls = []

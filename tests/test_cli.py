@@ -10,7 +10,9 @@ from sparsebeam import (
     OfdmConfig,
     OptimizerConfig,
     SparseMaskSet,
+    SweepConfig,
     add_estimation_error,
+    cli,
     generate_channel_batch,
     mmse_combiner,
     optimize_sum_rate,
@@ -21,6 +23,7 @@ from sparsebeam import (
     write_channel_file,
     zf_combiner,
 )
+from sparsebeam.bench import CSV_HEADER, SweepResult
 from sparsebeam.cli import _subcommands, build_parser, cli_dispatch, load_config_file
 
 CHANNEL = "<channel file>"  # stands for the `channel_file` fixture's path in a command
@@ -311,6 +314,51 @@ class TestSweepCommand:
         assert code == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDefaultsComeFromTheConfigs:
+    """A command run without flags uses the library configs' defaults."""
+
+    def test_sweep_runs_the_default_config(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def capture(config, progress=None):
+            seen.append(config)
+            return SweepResult(points=[], seed=config.seed, version="v", build="b", timestamp="t")
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        monkeypatch.chdir(tmp_path)
+        assert cli_dispatch(["sweep"]) == 0
+        assert seen == [SweepConfig()]
+        assert (tmp_path / "sweep.csv").read_text() == CSV_HEADER + "\n"
+
+    def test_channel_draws_the_default_slot(self, tmp_path):
+        out = tmp_path / "c.bin"
+        assert cli_dispatch(["channel", "--out", str(out), "--quiet"]) == 0
+        _, meta = read_channel_file(out)
+        assert (meta["symbols"], meta["subcarriers"], meta["antennas"], meta["users"]) == (14, 48, 8, 2)
+        assert (meta["realizations"], meta["seed"]) == (1, 0)
+
+    def test_masks_export_the_canonical_grid(self, tmp_path):
+        out = tmp_path / "masks.json"
+        assert cli_dispatch(["masks", "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["grid"] == {"L": 14, "K": 48, "p": 2, "lambda": 2.0, "pattern": "doppler_aware"}
+
+
+@pytest.mark.parametrize(
+    "command, out_flag",
+    [(["masks", "--L", "2", "--K", "3"], "--out"), (["histogram", "--L", "2", "--K", "3"], "--out"),
+     (["beamform", "--channel", CHANNEL, "--method", "zf", "--method", "mmse"], "--csv")],
+    ids=["masks", "histogram", "beamform"],
+)
+def test_stdout_equals_file(tmp_path, capsys, channel_file, command, out_flag):
+    # without a file flag the command prints exactly the file's bytes
+    command = [str(channel_file) if token == CHANNEL else token for token in command]
+    out = tmp_path / "out"
+    assert cli_dispatch([*command, out_flag, str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli_dispatch([*command, "--quiet"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 class TestConfigFile:

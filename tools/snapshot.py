@@ -1,0 +1,106 @@
+"""Write the outputs that must stay byte-stable into one directory.
+
+Usage: PYTHONPATH=<tree>/src python tools/snapshot.py OUT
+
+Every command runs in process through `sparsebeam.cli.cli_dispatch`,
+inside OUT so that the paths it reports are the same in any OUT.  Each
+command's exit code and stdout go to `<name>.stdout`, beside the file
+it writes:
+
+- `masks` JSON on the 11 grids whose hop diameters the tests lock, and
+  fixed-strided masks, causal and not, on the 2-head ones;
+- `graph --report` JSON on the same grids;
+- the attended-keys histogram CSV;
+- a `channel` file of the default slot, and the `beamform` CSV of zf,
+  mmse and opt on it;
+- a small sweep's CSV, and its JSON without the build hash and the
+  timestamp, which change with every build and run.
+
+The default grid's masks, the histogram and the beamform CSV are also
+printed to stdout.  Two trees give the same outputs when their
+snapshots are byte-identical (`diff -r A B`).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from sparsebeam.cli import cli_dispatch
+
+# (L, K, heads, lambda) of the grids whose hop diameters the tests lock
+GRIDS = [
+    (14, 48, 2, 2.0),
+    (2, 3, 2, 2.0),
+    (4, 6, 2, 1.0),
+    (4, 4, 2, 2.0),
+    (3, 5, 1, 1.0),
+    (8, 8, 3, 2.0),
+    (5, 7, 2, 4.0),
+    (6, 5, 4, 2.0),
+    (1, 9, 2, 2.0),
+    (9, 1, 2, 2.0),
+    (7, 11, 3, 1.5),
+]
+
+
+def _run(name: str, argv: list) -> None:
+    """Run one command and keep its exit code and stdout as `<name>.stdout`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_dispatch(argv)
+    Path(f"{name}.stdout").write_text(f"exit {code}\n{stdout.getvalue()}", encoding="utf-8", newline="\n")
+
+
+def snapshot(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        _commands()
+    finally:
+        os.chdir(cwd)
+
+
+def _commands() -> None:
+    for symbols, subcarriers, heads, time_bias in GRIDS:
+        tag = f"{symbols}x{subcarriers}h{heads}l{time_bias}"
+        grid = ["--L", str(symbols), "--K", str(subcarriers), "--heads", str(heads), "--lambda", str(time_bias)]
+        patterns = {"doppler": []}
+        if heads == 2:
+            patterns.update({"fixed": ["--pattern", "fixed"], "fixed-causal": ["--pattern", "fixed", "--causal"]})
+        for pattern, flags in patterns.items():
+            name = f"masks-{pattern}-{tag}"
+            _run(name, ["masks", *grid, *flags, "--out", f"{name}.json"])
+        _run(f"graph-{tag}", ["graph", *grid, "--report", f"graph-{tag}.json"])
+    _run("masks-printed", ["masks"])
+    _run("histogram", ["histogram", "--out", "histogram.csv"])
+    _run("histogram-printed", ["histogram"])
+    _run("channel", ["channel", "--realizations", "3", "--v-min", "30", "--v-max", "40", "--seed", "5",
+                     "--out", "channel.bin"])
+    beamform = ["beamform", "--channel", "channel.bin", "--method", "zf", "--method", "mmse", "--method", "opt",
+                "--est-snr-db", "15", "--seed", "2"]
+    _run("beamform", [*beamform, "--csv", "beamform.csv"])
+    _run("beamform-printed", beamform)
+    _run("sweep", ["sweep", "--snr-db=-5,20", "--realizations", "6", "--est-snr-db", "15", "--opt-iterations", "20",
+                   "--seed", "7", "--out", "sweep.csv", "--json", "sweep.json"])
+    sweep_json = Path("sweep.json")
+    payload = json.loads(sweep_json.read_text(encoding="utf-8"))
+    del payload["metadata"]["build"], payload["metadata"]["timestamp"]
+    sweep_json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: snapshot.py OUT", file=sys.stderr)
+        return 2
+    snapshot(Path(argv[0]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
