@@ -4,7 +4,7 @@ import hashlib
 import pathlib
 from functools import lru_cache
 
-VERSION = "0.2.0"
+VERSION = "0.3.0"
 
 
 @lru_cache(maxsize=1)

@@ -9,9 +9,11 @@ is what makes the velocity axis matter: at high Doppler the estimate
 decorrelates from the channel it is used on, which is exactly the
 regime the sweep is probing.  Everything is seeded and byte-stable.
 
-Each (velocity, SNR) cell is evaluated as one stack: the fading of
-every realization is computed only at those two points, and each
-method builds and scores all of the cell's combiners in one call.
+Each velocity's realizations are drawn once and scored at every SNR
+point, since the SNR only scales the noise (common random numbers):
+the fading of every realization is computed only at those two points,
+and at each SNR point each method builds and scores all of the
+velocity's combiners in one call.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class SweepConfig:
             raise ValueError("need at least one SNR point and one velocity range")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError("SNR points must be finite")
+        for snr in self.snr_db_list:
+            _noise_power(snr)
         for name in ("realizations", "rx_antennas", "users"):
             _check_count(name, getattr(self, name), 1)
         if not (math.isfinite(self.est_snr_db) or self.est_snr_db == math.inf):
@@ -142,6 +146,19 @@ def score(methods, estimate, target, sigma2: float, optimizer: OptimizerConfig) 
     return scores
 
 
+def _noise_power(snr_db: float) -> float:
+    """Noise power 10^(-snr_db / 10) of the unit-power link; an SNR so
+    extreme that it underflows to 0 or overflows raises ValueError
+    naming the SNR."""
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"SNR {snr_db:g} dB gives noise power {sigma2:g}; it must be finite and > 0")
+    return sigma2
+
+
 def pilot_and_target(symbols: int, subcarriers: int) -> tuple:
     """The protocol's (symbol indices, subcarrier indices): the pilot at
     the first symbol and the target at the last, both at the centre
@@ -149,15 +166,19 @@ def pilot_and_target(symbols: int, subcarriers: int) -> tuple:
     return (0, symbols - 1), (subcarriers // 2,)
 
 
-def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
-    """Rates (R,) and SINRs (R, users) per method for one (velocity,
-    SNR) cell, plus the number of resampled draws.
+def _velocity_cells(config: SweepConfig, v_idx: int, velocity_range, progress=None):
+    """Rates (S, R) and SINRs (S, R, users) per method for one velocity
+    over the S SNR points, plus the number of resampled draws.
 
-    Realization r at attempt a draws from the derived seed (seed, cell,
-    r, a).  Every method runs once on the stack of the cell's draws; an
-    entry that is singular for any method is redrawn at the next
-    attempt, the others keep their results.  A redraw that would take
-    the resamples above 0.1% of the cell's draws raises instead.
+    Realization r at attempt a draws from the derived seed (seed, v_idx,
+    0, r, a), the seed the first SNR point used when each point drew its
+    own channels, and every SNR point scores those same draws.  At each
+    SNR point every method runs once on the stack of the draws; an entry
+    that is singular for any method at any SNR point is redrawn at the
+    next attempt and scored again at every point, the others keep their
+    results.  A redraw that would take the resamples above 0.1% of the
+    velocity's draws raises instead.  `progress(velocity_range, snr_db)`
+    is called after each SNR point's first scoring pass.
     """
     ofdm = OfdmConfig()
     doppler = DopplerConfig(velocity_mps=velocity_range)
@@ -165,28 +186,33 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
     shape = (config.realizations, config.rx_antennas, config.users)
     estimate = np.empty(shape, dtype=np.complex128)
     target = np.empty(shape, dtype=np.complex128)
-    rates = {m: np.empty(config.realizations) for m in config.methods}
-    sinrs = {m: np.empty((config.realizations, config.users)) for m in config.methods}
+    snrs = len(config.snr_db_list)
+    rates = {m: np.empty((snrs, config.realizations)) for m in config.methods}
+    sinrs = {m: np.empty((snrs, config.realizations, config.users)) for m in config.methods}
     todo = np.arange(config.realizations)
     resampled = 0
     for attempt in itertools.count():
         for r in todo:
-            draw_seed = (config.seed, *point_key, int(r), attempt)
+            draw_seed = (config.seed, v_idx, 0, int(r), attempt)
             rng = np.random.default_rng(draw_seed)
             pilot, target[r] = _generate_true(ofdm, doppler, config.rx_antennas, config.users, rng, *points)[:, 0]
             estimate[r] = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
         ok = np.ones(todo.size, dtype=bool)
-        while ok.any():
-            live = todo[ok]
-            try:
-                scores = score(config.methods, estimate[live], target[live], sigma2, config.optimizer)
-            except SingularChannelError as exc:
-                ok[ok] = ~exc.singular
-                continue
-            for method, (method_rates, method_sinrs) in scores.items():
-                rates[method][live] = method_rates
-                sinrs[method][live] = method_sinrs
-            break
+        for s_idx, snr_db in enumerate(config.snr_db_list):
+            sigma2 = _noise_power(snr_db)
+            while ok.any():
+                live = todo[ok]
+                try:
+                    scores = score(config.methods, estimate[live], target[live], sigma2, config.optimizer)
+                except SingularChannelError as exc:
+                    ok[ok] = ~exc.singular
+                    continue
+                for method, (method_rates, method_sinrs) in scores.items():
+                    rates[method][s_idx, live] = method_rates
+                    sinrs[method][s_idx, live] = method_sinrs
+                break
+            if attempt == 0 and progress is not None:
+                progress(velocity_range, snr_db)
         todo = todo[~ok]
         if not todo.size:
             return rates, sinrs, resampled
@@ -198,19 +224,21 @@ def _cell(config: SweepConfig, point_key, sigma2, velocity_range):
 def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) -> SweepResult:
     """Evaluate every (method, SNR, velocity range) cell of the sweep.
 
-    Deterministic for a fixed config: realization r of cell c always
-    uses the derived seed (seed, cell indices, r, attempt), so results
-    do not depend on execution order.  `progress(velocity_range,
-    snr_db)` is called once per finished cell.
+    Deterministic for a fixed config: realization r of velocity v always
+    uses the derived seed (seed, v, 0, r, attempt), so results do not
+    depend on execution order, and every SNR point scores the same
+    draws.  Dropping SNR points therefore leaves the others unchanged,
+    and the first SNR point, like every one-SNR sweep, gives the bytes
+    of sparsebeam 0.2.0, where each SNR point drew its own channels.
+    `progress(velocity_range, snr_db)` is called once per cell, right
+    after its scoring pass.
     """
     points: list[SweepPoint] = []
     for v_idx, velocity_range in enumerate(config.velocity_ranges):
+        cell_rates, cell_sinrs, resampled = _velocity_cells(config, v_idx, velocity_range, progress)
         for s_idx, snr_db in enumerate(config.snr_db_list):
-            sigma2 = 10.0 ** (-snr_db / 10.0)
-            point_key = (v_idx, s_idx)
-            cell_rates, cell_sinrs, resampled = _cell(config, point_key, sigma2, velocity_range)
             for method in config.methods:
-                rates, sinrs = cell_rates[method], cell_sinrs[method]
+                rates, sinrs = cell_rates[method][s_idx], cell_sinrs[method][s_idx]
                 stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
                 points.append(
                     SweepPoint(
@@ -225,8 +253,6 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
                         resampled=resampled,
                     )
                 )
-            if progress is not None:
-                progress(velocity_range, snr_db)
     stamp = timestamp if timestamp is not None else datetime.datetime.now(datetime.timezone.utc).isoformat()
     return SweepResult(
         points=points,

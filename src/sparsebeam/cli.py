@@ -23,7 +23,7 @@ import numpy as np
 from . import _buildinfo
 from .attention import EmbeddingBlock, attended_keys_histogram, dense_masked_oracle, gradient_check, sparse_attention_forward
 from .beamforming import OptimizerConfig
-from .bench import KNOWN_METHODS, SweepConfig, _fmt, _write_text, export_report, pilot_and_target, run_sweep, score
+from .bench import KNOWN_METHODS, SweepConfig, _fmt, _noise_power, _write_text, export_report, pilot_and_target, run_sweep, score
 from .channel import DopplerConfig, OfdmConfig, add_estimation_error, generate_channel_batch, read_channel_file, write_channel_file
 from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
@@ -205,11 +205,11 @@ def _cmd_channel(args) -> int:
 def _cmd_beamform(args) -> int:
     if not math.isfinite(args.snr_db):
         raise ValueError(f"--snr-db must be finite, got {args.snr_db}")
+    sigma2 = _noise_power(args.snr_db)
     batch, meta = read_channel_file(args.channel)
     symbols, subcarriers = pilot_and_target(meta["symbols"], meta["subcarriers"])
     pilot, target = batch[:, symbols, subcarriers].swapaxes(0, 1)
     estimate = np.stack([add_estimation_error(h, args.est_snr_db, (args.seed, r)) for r, h in enumerate(pilot)])
-    sigma2 = 10.0 ** (-args.snr_db / 10.0)
     try:
         scores = score(args.method, estimate, target, sigma2, OptimizerConfig(iterations=args.opt_iterations))
     except SingularChannelError as exc:

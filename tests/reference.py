@@ -184,10 +184,11 @@ def optimize_reference(channel_est, channel_true, noise_power, config):
     return OptimizeResult(combiner=best_w, trace=np.asarray(trace))
 
 
-def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
-    """Rates and SINRs of one realization for every method, one draw at a
-    time on the full slot grid; resamples singular draws with the next
-    derived seed and returns the resample count."""
+def _sweep_realization(config, v_idx, velocity_range, realization):
+    """Per-SNR-point (rates, SINRs) of one realization for every method,
+    one draw at a time on the full slot grid, with the resample count.
+    One draw serves every SNR point; a draw that is singular for any
+    method at any SNR point is redrawn with the next derived seed."""
     from sparsebeam import bench
     from sparsebeam.beamforming import mmse_combiner, power_project, sinr, sum_rate, zf_combiner
     from sparsebeam.channel import DopplerConfig, OfdmConfig, add_estimation_error
@@ -198,7 +199,7 @@ def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
     doppler = DopplerConfig(velocity_mps=velocity_range)
     resampled = 0
     for attempt in range(64):
-        draw_seed = (config.seed, *point_key, realization, attempt)
+        draw_seed = (config.seed, v_idx, 0, realization, attempt)
         rng = np.random.default_rng(draw_seed)
         # looked up on the module so that a test can wrap the draw
         grid = bench._generate_true(ofdm, doppler, config.rx_antennas, config.users, rng)
@@ -206,17 +207,21 @@ def _sweep_realization(config, point_key, sigma2, velocity_range, realization):
         target = grid[-1, sub_mid]
         estimate = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
         try:
-            rates, sinrs = {}, {}
-            for method in config.methods:
-                if method == "zf":
-                    w = power_project(zf_combiner(estimate))
-                elif method == "mmse":
-                    w = power_project(mmse_combiner(estimate, sigma2))
-                else:
-                    w = optimize_reference(estimate, target, sigma2, config.optimizer).combiner
-                rates[method] = sum_rate(w, target, sigma2)
-                sinrs[method] = sinr(w, target, sigma2)
-            return rates, sinrs, resampled
+            per_snr = []
+            for snr_db in config.snr_db_list:
+                sigma2 = 10.0 ** (-snr_db / 10.0)
+                rates, sinrs = {}, {}
+                for method in config.methods:
+                    if method == "zf":
+                        w = power_project(zf_combiner(estimate))
+                    elif method == "mmse":
+                        w = power_project(mmse_combiner(estimate, sigma2))
+                    else:
+                        w = optimize_reference(estimate, target, sigma2, config.optimizer).combiner
+                    rates[method] = sum_rate(w, target, sigma2)
+                    sinrs[method] = sinr(w, target, sigma2)
+                per_snr.append((rates, sinrs))
+            return per_snr, resampled
         except SingularChannelError:
             resampled += 1
     raise RuntimeError("could not draw a non-singular channel in 64 attempts")
@@ -229,18 +234,14 @@ def sweep_points_reference(config):
 
     points = []
     for v_idx, velocity_range in enumerate(config.velocity_ranges):
+        outcomes = [_sweep_realization(config, v_idx, velocity_range, r) for r in range(config.realizations)]
+        resampled = sum(out[1] for out in outcomes)
+        if resampled > 1e-3 * max(1, config.realizations + resampled):
+            raise RuntimeError(f"singular-channel resample rate above 0.1%: {resampled} resamples")
         for s_idx, snr_db in enumerate(config.snr_db_list):
-            sigma2 = 10.0 ** (-snr_db / 10.0)
-            outcomes = [
-                _sweep_realization(config, (v_idx, s_idx), sigma2, velocity_range, r)
-                for r in range(config.realizations)
-            ]
-            resampled = sum(out[2] for out in outcomes)
-            if resampled > 1e-3 * max(1, config.realizations + resampled):
-                raise RuntimeError(f"singular-channel resample rate above 0.1%: {resampled} resamples")
             for method in config.methods:
-                rates = np.array([out[0][method] for out in outcomes])
-                sinrs = np.vstack([out[1][method] for out in outcomes])
+                rates = np.array([out[0][s_idx][0][method] for out in outcomes])
+                sinrs = np.vstack([out[0][s_idx][1][method] for out in outcomes])
                 stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
                 points.append(
                     SweepPoint(

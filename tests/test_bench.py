@@ -88,6 +88,11 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="finite"):
                 SweepConfig(snr_db_list=(0.0, snr))
 
+    @pytest.mark.parametrize("snr, power", [(4000.0, "0"), (-4000.0, "inf")])
+    def test_snr_must_give_a_finite_positive_noise_power(self, snr, power):
+        with pytest.raises(ValueError, match=f"SNR {snr:g} dB gives noise power {power}"):
+            SweepConfig(snr_db_list=(0.0, snr))
+
     @pytest.mark.parametrize("axis", ["rx_antennas", "users"])
     def test_empty_antenna_or_user_axis_rejected(self, axis):
         with pytest.raises(ValueError, match=f"{axis} must be an integer >= 1"):
@@ -198,6 +203,81 @@ class TestBatchedEngine:
         assert calls == [((0.0, 10.0), 0.0), ((0.0, 10.0), 20.0)]
 
 
+class TestCommonDraws:
+    """Every SNR point of a velocity scores the same draws, so the SNR
+    columns obey the inequalities of one channel under falling noise."""
+
+    def test_dropping_snr_points_changes_nothing(self):
+        config = SweepConfig(realizations=6, est_snr_db=10.0, seed=11, optimizer=OptimizerConfig(iterations=5))
+        full = _as_dicts(run_sweep(config, timestamp="t").points)
+        for snr in config.snr_db_list:
+            alone = run_sweep(dataclasses.replace(config, snr_db_list=(snr,)), timestamp="t").points
+            assert _as_dicts(alone) == [p for p in full if p["snr_db"] == snr], snr
+
+    def test_zf_rate_nondecreasing_in_snr_per_realization(self):
+        # the ZF combiner does not depend on the noise, so one draw's rate
+        # can only grow as the noise power falls
+        for seed in range(30):
+            points = run_sweep(SweepConfig(realizations=1, methods=("zf",), seed=seed), timestamp="t").points
+            for v_min in (0.0, 30.0):
+                rates = [p.mean_sum_rate for p in points if p.v_min == v_min]
+                assert rates == sorted(rates), (seed, v_min, rates)
+
+    def test_mmse_is_the_best_sinr_without_mobility(self):
+        # at zero velocity the pilot is the target, so MMSE on a perfect
+        # estimate maximizes every user's SINR, and that maximum can only
+        # grow as the noise power falls
+        snrs = tuple(np.arange(-10.0, 20.5, 2.5))
+        for seed in range(5):
+            config = SweepConfig(snr_db_list=snrs, velocity_ranges=((0.0, 0.0),), realizations=2, methods=("zf", "mmse"),
+                                 seed=seed)
+            by_key = {(p.method, p.snr_db): p for p in run_sweep(config, timestamp="t").points}
+            for snr in snrs:
+                zf, mmse = by_key[("zf", snr)].per_ue_mean_sinr, by_key[("mmse", snr)].per_ue_mean_sinr
+                assert all(m >= z * (1 - 1e-12) for m, z in zip(mmse, zf)), (seed, snr)
+            rates = [by_key[("mmse", snr)].mean_sum_rate for snr in snrs]
+            assert all(b >= a * (1 - 1e-12) for a, b in zip(rates, rates[1:])), (seed, rates)
+
+    def test_each_velocity_draws_once_before_its_cells(self, monkeypatch):
+        # R draws per velocity, not per (velocity, SNR) cell, all made
+        # before the velocity's first cell reports progress
+        original = bench._generate_true
+        events = []
+
+        def counted(*args, **kwargs):
+            events.append("draw")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_generate_true", counted)
+        config = SweepConfig(realizations=5, methods=("zf", "mmse"), seed=3)
+        run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((vr, snr)))
+        expected = []
+        for velocity_range in config.velocity_ranges:
+            expected += ["draw"] * 5 + [(velocity_range, snr) for snr in config.snr_db_list]
+        assert events == expected
+
+    def test_redraw_is_scored_at_every_snr_without_more_progress(self, monkeypatch):
+        # realization 3's first draw loses user 0, so ZF is singular at
+        # every SNR point; its redraw is scored at both points, and each
+        # cell still reports progress once
+        original = bench._generate_true
+        events = []
+
+        def lose_user_zero(*args, **kwargs):
+            out = original(*args, **kwargs)
+            events.append(tuple(args[4].bit_generator.seed_seq.entropy[-2:]))
+            if events[-1] == (3, 0):
+                out[..., 0] = 0.0
+            return out
+
+        monkeypatch.setattr(bench, "_generate_true", lose_user_zero)
+        config = SweepConfig(snr_db_list=(0.0, 10.0), velocity_ranges=((30.0, 40.0),), realizations=1000, methods=("zf",))
+        points = run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append(snr)).points
+        assert events == [(r, 0) for r in range(1000)] + [0.0, 10.0, (3, 1)]
+        assert [p.resampled for p in points] == [1, 1]
+        assert _as_dicts(points) == _as_dicts(sweep_points_reference(config))
+
+
 class TestExportReport:
     def test_csv_columns_and_rows(self, small_result, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -246,59 +326,76 @@ class TestExportReport:
         assert project["version"] == sparsebeam.__version__
 
 
-# (method, v_min, snr_db) -> (mean_sum_rate, stderr) of
+# (method, v_min) -> (mean_sum_rate, stderr) at -10 dB of
 # run_sweep(SweepConfig(realizations=8, seed=5)) under sparsebeam 0.1.0,
-# whose rate was the per-user mean of the two users' rates.
+# whose rate was the per-user mean of the two users' rates.  The first
+# SNR point still draws 0.1.0's channels.
 PER_USER_MEAN_LOCK = {
-    ('zf', 0.0, -10.0): (0.6922229546692766, 0.08102219395743286),
-    ('mmse', 0.0, -10.0): (0.7578422925632298, 0.06821221851258735),
-    ('opt', 0.0, -10.0): (0.7664369232393476, 0.068123512559027),
-    ('zf', 0.0, -5.0): (1.7206086740403013, 0.03399113058370343),
-    ('mmse', 0.0, -5.0): (1.764076183897768, 0.026728233446225616),
-    ('opt', 0.0, -5.0): (1.7814688568930224, 0.027280223395379843),
-    ('zf', 0.0, 0.0): (3.161460950855189, 0.10822240341344831),
-    ('mmse', 0.0, 0.0): (3.1716628267938063, 0.10746852319390061),
-    ('opt', 0.0, 0.0): (3.1907758404332798, 0.10718870841478437),
-    ('zf', 0.0, 5.0): (4.234205093981412, 0.1864267664636077),
-    ('mmse', 0.0, 5.0): (4.271353633191295, 0.17062113612760985),
-    ('opt', 0.0, 5.0): (4.333214078854553, 0.17732750336372993),
-    ('zf', 0.0, 10.0): (5.86730582316698, 0.1735947852512799),
-    ('mmse', 0.0, 10.0): (5.872453535435869, 0.17418880343481935),
-    ('opt', 0.0, 10.0): (5.984794158550422, 0.12105648889006808),
-    ('zf', 0.0, 15.0): (7.456151793564664, 0.1491805440320202),
-    ('mmse', 0.0, 15.0): (7.460673916142942, 0.1494746634502502),
-    ('opt', 0.0, 15.0): (7.582891214394149, 0.12633577230751405),
-    ('zf', 0.0, 20.0): (8.416098979631625, 0.34400444334988306),
-    ('mmse', 0.0, 20.0): (8.412283174367028, 0.34566120481133233),
-    ('opt', 0.0, 20.0): (8.589968926292581, 0.3377881261114386),
-    ('zf', 30.0, -10.0): (0.5417974945587215, 0.057934163927931985),
-    ('mmse', 30.0, -10.0): (0.5650503800578355, 0.06075166311105953),
-    ('opt', 30.0, -10.0): (0.7918653841979411, 0.05342234666490376),
-    ('zf', 30.0, -5.0): (1.2196554412112923, 0.12506976903976227),
-    ('mmse', 30.0, -5.0): (1.231647876749796, 0.1227406864635511),
-    ('opt', 30.0, -5.0): (1.6415187702023157, 0.08636490028319505),
-    ('zf', 30.0, 0.0): (1.9939857859193428, 0.12796028321642222),
-    ('mmse', 30.0, 0.0): (2.0218097787005367, 0.12002063592815627),
-    ('opt', 30.0, 0.0): (2.6988987559653417, 0.08581686489665713),
-    ('zf', 30.0, 5.0): (2.958993529372502, 0.1329577166584739),
-    ('mmse', 30.0, 5.0): (2.960420684764515, 0.1335686261401065),
-    ('opt', 30.0, 5.0): (4.496466742468578, 0.11101375160338584),
-    ('zf', 30.0, 10.0): (3.702790420589615, 0.3716210483186489),
-    ('mmse', 30.0, 10.0): (3.716143585896362, 0.3719055344234889),
-    ('opt', 30.0, 10.0): (5.88666914128498, 0.14388332466871903),
-    ('zf', 30.0, 15.0): (4.688354800206162, 0.3823369438253337),
-    ('mmse', 30.0, 15.0): (4.687571723925153, 0.38183383511120333),
-    ('opt', 30.0, 15.0): (7.429933611588275, 0.17096448999592703),
-    ('zf', 30.0, 20.0): (4.353003100913507, 0.4084374046955877),
-    ('mmse', 30.0, 20.0): (4.351985152429986, 0.40873058160974973),
-    ('opt', 30.0, 20.0): (8.316730411769667, 0.21031979495374756),
+    ('zf', 0.0): (0.6922229546692766, 0.08102219395743286),
+    ('mmse', 0.0): (0.7578422925632298, 0.06821221851258735),
+    ('opt', 0.0): (0.7664369232393476, 0.068123512559027),
+    ('zf', 30.0): (0.5417974945587215, 0.057934163927931985),
+    ('mmse', 30.0): (0.5650503800578355, 0.06075166311105953),
+    ('opt', 30.0): (0.7918653841979411, 0.05342234666490376),
+}
+
+# (method, v_min, snr_db) -> (mean_sum_rate, stderr) of the same sweep's
+# other SNR points under sparsebeam 0.3.0, where every SNR point scores
+# the first point's draws; equal to `sweep_points_reference` when locked.
+SUM_RATE_LOCK = {
+    ('zf', 0.0, -5.0): (3.0555144936234817, 0.26673439031242574),
+    ('mmse', 0.0, -5.0): (3.18378031628876, 0.23874781169330653),
+    ('opt', 0.0, -5.0): (3.2196576796729275, 0.23788309364521767),
+    ('zf', 0.0, 0.0): (5.516252425750661, 0.3387655198200625),
+    ('mmse', 0.0, 0.0): (5.586100182606684, 0.32409413157937156),
+    ('opt', 0.0, 0.0): (5.66408048911843, 0.3237411676998075),
+    ('zf', 0.0, 5.0): (8.40141890341534, 0.36948251883844996),
+    ('mmse', 0.0, 5.0): (8.428048032469063, 0.3666398723707192),
+    ('opt', 0.0, 5.0): (8.606756622707564, 0.3663390599176267),
+    ('zf', 0.0, 10.0): (11.323895092587845, 0.38782518684690803),
+    ('mmse', 0.0, 10.0): (11.335860725372644, 0.38851068291299207),
+    ('opt', 0.0, 10.0): (11.708546315196923, 0.36897163085888907),
+    ('zf', 0.0, 15.0): (13.98617145537056, 0.4525169901254266),
+    ('mmse', 0.0, 15.0): (13.995188213371502, 0.452202276316279),
+    ('opt', 0.0, 15.0): (14.41619991087028, 0.4101799284403842),
+    ('zf', 0.0, 20.0): (16.162290598872488, 0.6224579826484057),
+    ('mmse', 0.0, 20.0): (16.170038732138508, 0.6224580401736967),
+    ('opt', 0.0, 20.0): (16.97790531822449, 0.40415210334546636),
+    ('zf', 30.0, -5.0): (2.4093390301887467, 0.2179566446085185),
+    ('mmse', 30.0, -5.0): (2.4680776247123637, 0.21702460821727274),
+    ('opt', 30.0, -5.0): (3.365321257616985, 0.1776252488845804),
+    ('zf', 30.0, 0.0): (4.26914251962413, 0.3209080429525542),
+    ('mmse', 30.0, 0.0): (4.3169629644390906, 0.31305111980949446),
+    ('opt', 30.0, 0.0): (5.916463492948579, 0.23159338283015785),
+    ('zf', 30.0, 5.0): (6.1356408342444695, 0.4086088767162132),
+    ('mmse', 30.0, 5.0): (6.158838168219477, 0.3997398859714486),
+    ('opt', 30.0, 5.0): (8.914171460649653, 0.2547917541401977),
+    ('zf', 30.0, 10.0): (7.550461121581174, 0.4874596075594386),
+    ('mmse', 30.0, 10.0): (7.554943087362296, 0.48122396677756135),
+    ('opt', 30.0, 10.0): (11.952309317248872, 0.2669276589955544),
+    ('zf', 30.0, 15.0): (8.414685002189557, 0.5575547496029827),
+    ('mmse', 30.0, 15.0): (8.412498649242565, 0.5542016144549192),
+    ('opt', 30.0, 15.0): (14.617271977672363, 0.30047246753443924),
+    ('zf', 30.0, 20.0): (8.847854393321342, 0.6069997294746216),
+    ('mmse', 30.0, 20.0): (8.845728596812716, 0.6054999878783314),
+    ('opt', 30.0, 20.0): (16.510832260038136, 0.4398690682064083),
 }
 
 
 class TestSumRateLock:
-    def test_two_user_sweep_is_exactly_twice_the_per_user_mean(self):
-        points = run_sweep(SweepConfig(realizations=8, seed=5), timestamp="t").points
-        assert len(points) == len(PER_USER_MEAN_LOCK)
-        for p in points:
-            mean_rate, stderr = PER_USER_MEAN_LOCK[(p.method, p.v_min, p.snr_db)]
-            assert (p.mean_sum_rate, p.stderr) == (2 * mean_rate, 2 * stderr), (p.method, p.v_min, p.snr_db)
+    @pytest.fixture(scope="class")
+    def points(self):
+        return run_sweep(SweepConfig(realizations=8, seed=5), timestamp="t").points
+
+    def test_two_user_sweep_is_exactly_twice_the_per_user_mean(self, points):
+        first = [p for p in points if p.snr_db == -10.0]
+        assert len(first) == len(PER_USER_MEAN_LOCK)
+        for p in first:
+            mean_rate, stderr = PER_USER_MEAN_LOCK[(p.method, p.v_min)]
+            assert (p.mean_sum_rate, p.stderr) == (2 * mean_rate, 2 * stderr), (p.method, p.v_min)
+
+    def test_other_snr_points_match_the_common_draw_lock(self, points):
+        rest = [p for p in points if p.snr_db != -10.0]
+        assert len(rest) == len(SUM_RATE_LOCK)
+        for p in rest:
+            assert (p.mean_sum_rate, p.stderr) == SUM_RATE_LOCK[(p.method, p.v_min, p.snr_db)], (p.method, p.v_min, p.snr_db)

@@ -236,6 +236,17 @@ class TestBeamformCommand:
             assert "--snr-db must be finite" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("snr, power", [("1e300", "0"), ("-1e300", "inf")])
+    def test_snr_beyond_the_noise_power_range_rejected(self, tmp_path, capsys, channel_file, snr, power):
+        # 10 ** (-snr / 10) underflows to 0 above about 3240 dB and overflows
+        # below about -3080 dB
+        out = tmp_path / "rates.csv"
+        for method in ("zf", "mmse", "opt"):
+            assert cli_dispatch(["beamform", "--channel", str(channel_file), "--method", method, f"--snr-db={snr}",
+                                 "--csv", str(out), "--quiet"]) == 1
+            assert f"SNR {float(snr):g} dB gives noise power {power}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_scores_the_files_pilot_and_target(self, tmp_path):
         # `channel` then `beamform`: each row equals the library combiner
         # built from symbol 0 (plus the (seed, r) estimation error) and
@@ -313,6 +324,19 @@ class TestSweepCommand:
                              "--out", str(out), "--quiet"])
         assert code == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("methods", ["zf", "opt"])
+    @pytest.mark.parametrize("snr, power", [("5,1e300", "0"), ("-1e300", "inf")])
+    def test_snr_beyond_the_noise_power_range_rejected(self, tmp_path, capsys, methods, snr, power):
+        # zf used to score a noise-free link, and opt to fail late without
+        # naming the SNR
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(["sweep", f"--snr-db={snr}", "--realizations", "2", "--methods", methods,
+                             "--out", str(out), "--quiet"])
+        assert code == 1
+        assert f"SNR {float(snr.split(',')[-1]):g} dB gives noise power {power}" in capsys.readouterr().err
         assert not out.exists()
 
 
