@@ -27,7 +27,7 @@ print(f"class sizes: {sizes.count(26)} classes of 26 tokens, {sizes.count(25)} o
 print()
 print("=== 2. Without the lattice heads, classes are isolated islands ===")
 # a subset of heads is itself a mask set
-head0 = SparseMaskSet(GridSpec(14, 48, heads=1, time_bias=2.0), "doppler_aware", [masks.head_csr(0)])
+head0 = SparseMaskSet(GridSpec(14, 48, heads=1, time_bias=2.0), "doppler_aware", [masks.head(0)])
 head0_only = hop_diameter(head0, "directed")
 print(f"head-0-only diameter: {head0_only.diameter} "
       f"(unreachable witnesses, first 3: {head0_only.unreachable_pairs[:3]})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularChannelError
+from .errors import SingularChannelError, _check_count
 
 _GRAM_COND_LIMIT = 1e12
 _ROW_NORM_SLACK = 1e-12
@@ -209,13 +209,6 @@ def finite_difference_gradient(combiner, channel, noise_power) -> np.ndarray:
                 slope = (up - down) / (2.0 * _FD_STEP)
                 grad[..., k, m] += slope * part
     return grad
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Raise `ValueError` naming `name` unless `value` is a non-bool
-    integer (Python or numpy) >= `low`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

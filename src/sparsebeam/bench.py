@@ -29,7 +29,6 @@ import numpy as np
 from . import _buildinfo, beamforming
 from .beamforming import (
     OptimizerConfig,
-    _check_count,
     mmse_combiner,
     optimize_sum_rate,  # unused here; perfbench's span tracer wraps bench.optimize_sum_rate
     power_project,
@@ -38,7 +37,7 @@ from .beamforming import (
     zf_combiner,
 )
 from .channel import DopplerConfig, OfdmConfig, _generate_true, add_estimation_error
-from .errors import SingularChannelError
+from .errors import SingularChannelError, _check_count
 
 KNOWN_METHODS = ("zf", "mmse", "opt")
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the count check, shared across the package."""
+
+import numpy as np
 
 
 class SingularChannelError(ValueError):
@@ -15,3 +17,10 @@ class SingularChannelError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured size cap (token count, BFS node count) was exceeded."""
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise `ValueError` naming `name` unless `value` is a non-bool
+    integer (Python or numpy) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -155,7 +155,7 @@ def _twin_classes(indptr, indices, sources):
     """`sources` (ascending) grouped by exact out-row equality: class c
     holds members[bounds[c] : bounds[c + 1]], ascending.  Every row is
     grouped, sampled or not; classes with no source are dropped."""
-    classes = _group_rows(indptr, indices)[0][sources]
+    classes = _group_rows(indptr, indices)[sources]
     counts = np.unique(classes, return_counts=True)[1]
     return sources[np.argsort(classes, kind="stable")], np.r_[0, np.cumsum(counts)]
 

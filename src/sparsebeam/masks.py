@@ -11,11 +11,11 @@ i % subcarriers).  Two mask families are built here:
 * Fixed-strided masks: the classic two-head baseline (local window head
   plus strided head) over the flattened sequence.
 
-Masks are stored row-compressed: one strictly ascending int64 key-index
-array per (head, query).  Construction is pure and deterministic; a
-rebuilt mask set compares bit-identical.  The grouping of queries by
-identical row (`row_classes`) and its dense block packing for the
-attention kernel (`row_blocks`) are derived on first use only.
+Masks are stored by row class: query i of a head attends row classes[i]
+of a CSR of the head's distinct rows, each a strictly ascending int64
+key-index array.  Construction is pure and deterministic; a rebuilt
+mask set compares bit-identical.  Only the dense block packing for the
+attention kernel (`row_blocks`) is derived on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _check_count
 
 DEFAULT_TOKEN_CAP = 65536
 
@@ -52,10 +52,8 @@ class GridSpec:
     time_bias: float = 2.0
 
     def __post_init__(self):
-        if self.symbols < 1 or self.subcarriers < 1:
-            raise ValueError("grid needs at least one symbol and one subcarrier")
-        if self.heads < 1:
-            raise ValueError("head count must be >= 1")
+        for name in ("symbols", "subcarriers", "heads"):
+            _check_count(name, getattr(self, name), 1)
         if not (self.time_bias >= 1.0) or not math.isfinite(self.time_bias):
             raise ValueError("time bias must be a finite real >= 1")
 
@@ -88,7 +86,7 @@ class GridSpec:
 
 
 def _rows_to_csr(rows):
-    """CSR (indptr, indices) of per-query key rows, packed in row order."""
+    """CSR (indptr, indices) of key rows, packed in row order."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
     # Empty rows are skipped: an empty list would promote the keys to float.
@@ -110,12 +108,20 @@ def _pairs_to_csr(rows, keys, tokens):
     return indptr, flat % tokens
 
 
+def _take_rows(indptr, indices, rows):
+    """CSR (indptr, indices) of the given rows of a CSR, in that order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    out = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out, indices[np.repeat(starts - out[:-1], lengths) + np.arange(out[-1])]
+
+
 def _group_rows(indptr, indices):
-    """(classes, representatives) of CSR rows grouped by exact equality.
+    """Group id of each CSR row: rows share an id iff they are equal.
 
     Rows are padded with -1 (never a key) to a common width and sorted
-    with a stable lexsort, so equal rows become adjacent and each
-    group's first member is its smallest query.
+    with a lexsort, so equal rows become adjacent.
     """
     lengths = np.diff(indptr)
     width = max(1, int(lengths.max()))
@@ -123,14 +129,9 @@ def _group_rows(indptr, indices):
     padded[np.arange(width) < lengths[:, None]] = indices
     order = np.lexsort(padded.T[::-1])  # column 0 is the primary key
     ordered = padded[order]
-    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
-    group_reps = order[starts]
-    by_rep = np.argsort(group_reps)
-    renumber = np.empty_like(by_rep)
-    renumber[by_rep] = np.arange(by_rep.size)
-    classes = np.empty_like(order)
-    classes[order] = renumber[np.cumsum(starts) - 1]
-    return classes, group_reps[by_rep]
+    groups = np.empty_like(order)
+    groups[order] = np.cumsum(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]) - 1
+    return groups
 
 
 class RowBlocks(NamedTuple):
@@ -151,10 +152,10 @@ class RowBlocks(NamedTuple):
     slots: np.ndarray  # (m,) flat slot (block * n + position) of each placed query
 
 
-def _pack_row_blocks(indptr, indices, classes, reps):
-    """`RowBlocks` of one head from its CSR rows and row classes."""
-    sizes = np.bincount(classes, minlength=reps.size)
-    lengths = indptr[reps + 1] - indptr[reps]
+def _pack_row_blocks(classes, indptr, indices):
+    """`RowBlocks` of one head from its class map and class rows."""
+    lengths = np.diff(indptr)
+    sizes = np.bincount(classes, minlength=lengths.size)
     live = lengths > 0
     n = max(1, -(-int(sizes[live].sum()) // max(1, int(live.sum()))))
     blocks = np.where(live, -(-sizes // n), 0)
@@ -166,11 +167,11 @@ def _pack_row_blocks(indptr, indices, classes, reps):
     queries = np.zeros(int(blocks.sum()) * n, dtype=np.int64)
     queries[slots] = placed
 
-    block_class = np.repeat(np.arange(reps.size), blocks)
+    block_class = np.repeat(np.arange(lengths.size), blocks)
     width = max(1, int(lengths.max()))
     key_valid = np.arange(width) < lengths[block_class, None]
     keys = np.zeros(key_valid.shape, dtype=np.int64)
-    keys[key_valid] = indices[(indptr[reps[block_class], None] + np.arange(width))[key_valid]]
+    keys[key_valid] = indices[(indptr[block_class, None] + np.arange(width))[key_valid]]
     return RowBlocks(queries.reshape(-1, n), keys, key_valid, placed, slots)
 
 
@@ -228,11 +229,13 @@ def head_offsets(query, head: int, stride_time: int, stride_freq: int) -> tuple:
 class SparseMaskSet:
     """Per-head, per-query sorted key-index lists over a token grid.
 
-    Rows are held in compressed form (one index pointer array plus one
-    flat index array per head) so row access is O(1) and the whole
-    structure is immutable after construction.  Non-integer keys, keys
-    outside [0, tokens) and keys not strictly ascending within a row
-    raise ValueError.
+    Each head is given, and stored, as (classes, indptr, indices): query
+    i attends row classes[i] of the CSR (indptr, indices).  The
+    constructor merges equal rows, drops unused ones and numbers the
+    classes by their smallest query; `from_rows` gives one row per
+    query.  A class map that is not an integer array of shape (tokens,)
+    indexing the rows, non-integer keys, keys outside [0, tokens) and
+    keys not strictly ascending within a row raise ValueError.
     """
 
     def __init__(self, grid, pattern_kind, head_rows, causal=False):
@@ -246,18 +249,21 @@ class SparseMaskSet:
         self.pattern_kind = pattern_kind
         self.causal = causal
         self._heads = []
-        for indptr, indices in head_rows:
-            if np.asarray(indptr).dtype.kind not in "iu" or np.asarray(indices).dtype.kind not in "iu":
-                raise ValueError("row pointers and key indices must be integers")
+        for classes, indptr, indices in head_rows:
+            if any(np.asarray(a).dtype.kind not in "iu" for a in (classes, indptr, indices)):
+                raise ValueError("class maps, row pointers and key indices must be integers")
+            classes = np.ascontiguousarray(classes, dtype=np.int64)
             indptr = np.ascontiguousarray(indptr, dtype=np.int64)
             indices = np.ascontiguousarray(indices, dtype=np.int64)
             if (
-                indptr.shape != (grid.tokens + 1,)
+                indptr.ndim != 1 or indptr.size == 0
                 or indptr[0] != 0
                 or indptr[-1] != indices.size
                 or (np.diff(indptr) < 0).any()
             ):
                 raise ValueError("malformed row pointers")
+            if classes.shape != (grid.tokens,) or classes.min() < 0 or classes.max() >= indptr.size - 1:
+                raise ValueError(f"class map must have shape ({grid.tokens},) and index the {indptr.size - 1} rows")
             if indices.size and (indices.min() < 0 or indices.max() >= grid.tokens):
                 raise ValueError(f"key index out of range [0, {grid.tokens})")
             # A key may only fail to rise where a new row starts.  Checked
@@ -266,12 +272,17 @@ class SparseMaskSet:
             drops = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
             if (indptr[np.searchsorted(indptr, drops)] != drops).any():
                 raise ValueError("keys must be strictly ascending within each row")
-            indptr.setflags(write=False)
-            indices.setflags(write=False)
-            self._heads.append((indptr, indices))
+            # Stored class c is the distinct row with the c-th smallest query.
+            groups = _group_rows(indptr, indices)[classes]
+            reps = np.sort(np.unique(groups, return_index=True)[1])
+            number = np.zeros(indptr.size - 1, dtype=np.int64)
+            number[groups[reps]] = np.arange(reps.size)
+            stored = (number[groups], *_take_rows(indptr, indices, classes[reps]))
+            for array in stored:
+                array.setflags(write=False)
+            self._heads.append(stored)
         if len(self._heads) != grid.heads:
             raise ValueError("one row block per head required")
-        self._row_classes = [None] * len(self._heads)
         self._row_blocks = [None] * len(self._heads)
 
     @classmethod
@@ -279,8 +290,8 @@ class SparseMaskSet:
         """Build from plain per-query index lists (used by tests and JSON)."""
         if any(len(rows) != grid.tokens for rows in rows_per_head):
             raise ValueError("need one row per query")
-        head_rows = [_rows_to_csr(rows) for rows in rows_per_head]
-        return cls(grid, pattern_kind, head_rows, causal=causal)
+        queries = np.arange(grid.tokens, dtype=np.int64)
+        return cls(grid, pattern_kind, [(queries, *_rows_to_csr(rows)) for rows in rows_per_head], causal=causal)
 
     @property
     def head_count(self) -> int:
@@ -292,41 +303,30 @@ class SparseMaskSet:
 
     def row(self, head: int, query: int) -> np.ndarray:
         """Sorted key indices attended by `query` in `head` (a view)."""
-        indptr, indices = self._heads[head]
-        return indices[indptr[query] : indptr[query + 1]]
+        classes, indptr, indices = self._heads[head]
+        return indices[indptr[classes[query]] : indptr[classes[query] + 1]]
 
     def row_lengths(self, head: int) -> np.ndarray:
-        indptr, _ = self._heads[head]
-        return np.diff(indptr)
+        classes, indptr, _ = self._heads[head]
+        return np.diff(indptr)[classes]
 
-    def head_csr(self, head: int) -> tuple[np.ndarray, np.ndarray]:
+    def head(self, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored (classes, indptr, indices) of `head`."""
         return self._heads[head]
-
-    def row_classes(self, head: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact grouping of a head's queries by identical key row.
-
-        Returns (classes, representatives): query i has row class
-        classes[i], and representatives[c] is the smallest query of
-        class c.  Classes are numbered in the order of their
-        representatives, so `representatives` ascends.  Computed on
-        first use and memoized, since the rows never change.
-        """
-        if self._row_classes[head] is None:
-            self._row_classes[head] = _group_rows(*self._heads[head])
-        return self._row_classes[head]
 
     def row_blocks(self, head: int) -> RowBlocks:
         """The head's non-empty rows packed as dense query blocks per row
-        class (see `RowBlocks`); memoized like `row_classes`."""
+        class (see `RowBlocks`); computed on first use and memoized."""
         if self._row_blocks[head] is None:
-            self._row_blocks[head] = _pack_row_blocks(*self._heads[head], *self.row_classes(head))
+            self._row_blocks[head] = _pack_row_blocks(*self._heads[head])
         return self._row_blocks[head]
 
     def union_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge rows across heads, deduplicated and sorted per query."""
         queries = np.arange(self.tokens, dtype=np.int64)
-        rows = np.concatenate([np.repeat(queries, np.diff(indptr)) for indptr, _ in self._heads])
-        keys = np.concatenate([indices for _, indices in self._heads])
+        expanded = [_take_rows(indptr, indices, classes) for classes, indptr, indices in self._heads]
+        rows = np.concatenate([np.repeat(queries, np.diff(indptr)) for indptr, _ in expanded])
+        keys = np.concatenate([indices for _, indices in expanded])
         return _pairs_to_csr(rows, keys, self.tokens)
 
     def validation_report(self) -> dict:
@@ -338,7 +338,7 @@ class SparseMaskSet:
         must still cover every query.
         """
         per_head_empty = [int((self.row_lengths(h) == 0).sum()) for h in range(self.head_count)]
-        per_head_classes = [int(self.row_classes(h)[1].size) for h in range(self.head_count)]
+        per_head_classes = [int(self._heads[h][1].size - 1) for h in range(self.head_count)]
         union_lengths = np.zeros(self.tokens, dtype=np.int64)
         for h in range(self.head_count):
             union_lengths += self.row_lengths(h)
@@ -392,20 +392,19 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
     sym, sub = grid.symbols, grid.subcarriers
     s = global_stride(tokens, grid.heads)
 
-    # Global head: rows for queries in the same residue class are identical.
-    members = [np.arange(r, tokens, s, dtype=np.int64) for r in range(s)]
-    head_rows = [_rows_to_csr([members[i % s] for i in range(tokens)])]
+    queries = np.arange(tokens, dtype=np.int64)
 
+    # Global head: query i attends residue class i mod s.
+    members = [np.arange(r, tokens, s, dtype=np.int64) for r in range(s)]
+    head_rows = [(queries % s, *_rows_to_csr(members))]
+
+    # Lattice head: query i attends lattice row off_t * sf + off_f.
     for h in range(1, grid.heads):
         st, sf = head_strides(s, grid.time_bias, h)
-        off_t, off_f = head_offsets(np.arange(tokens, dtype=np.int64), h, st, sf)
-        lattice = {}
-        for dt in np.unique(off_t):
-            t_vals = np.arange(dt, sym, st, dtype=np.int64) * sub
-            for df in np.unique(off_f):
-                f_vals = np.arange(df, sub, sf, dtype=np.int64)
-                lattice[(int(dt), int(df))] = (t_vals[:, None] + f_vals[None, :]).ravel()
-        head_rows.append(_rows_to_csr([lattice[(int(a), int(b))] for a, b in zip(off_t, off_f)]))
+        off_t, off_f = head_offsets(queries, h, st, sf)
+        times = [np.arange(dt, sym, st, dtype=np.int64)[:, None] * sub for dt in range(st)]
+        lattice = [(t + np.arange(df, sub, sf, dtype=np.int64)).ravel() for t in times for df in range(sf)]
+        head_rows.append((off_t * sf + off_f, *_rows_to_csr(lattice)))
 
     return SparseMaskSet(grid, DOPPLER_AWARE, head_rows)
 
@@ -436,8 +435,7 @@ def build_fixed_strided_masks(
             strided = np.arange(i % s, tokens, s, dtype=np.int64)
         local_rows.append(local)
         strided_rows.append(strided)
-    head_rows = [_rows_to_csr(local_rows), _rows_to_csr(strided_rows)]
-    return SparseMaskSet(grid, FIXED_STRIDED, head_rows, causal=causal)
+    return SparseMaskSet.from_rows(grid, FIXED_STRIDED, [local_rows, strided_rows], causal=causal)
 
 
 def row_count_closedform(grid: GridSpec, head: int, query: int) -> int:

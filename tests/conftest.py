@@ -37,4 +37,4 @@ def head_subset(masks, heads):
     """The mask set of the chosen heads of `masks`: a subset of heads is
     itself a mask set, so graph measures need no head selector."""
     grid = dataclasses.replace(masks.grid, heads=len(heads))
-    return SparseMaskSet(grid, masks.pattern_kind, [masks.head_csr(h) for h in heads])
+    return SparseMaskSet(grid, masks.pattern_kind, [masks.head(h) for h in heads])

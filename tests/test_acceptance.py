@@ -70,6 +70,14 @@ DIAMETER_REGRESSION = {
     (1, 9, 2, 2.0): (None, 2),
     (9, 1, 2, 2.0): (2, 1),
     (3, 5, 1, 1.0): (1, 1),
+    # the canonical slot with 3 and 4 heads; at lambda 1 the lattice
+    # heads are single subcarrier columns with many empty rows
+    (14, 48, 3, 1.0): (None, 4),
+    (14, 48, 3, 2.0): (3, 3),
+    (14, 48, 3, 4.0): (4, 3),
+    (14, 48, 4, 1.0): (None, None),
+    (14, 48, 4, 2.0): (4, 4),
+    (14, 48, 4, 4.0): (5, 4),
 }
 
 # the same, on the 4096-token grid the attention benchmark uses (still
@@ -115,8 +123,9 @@ def test_c3_partition_lemma():
     assert sizes == [25] * 4 + [26] * 22
     # weak components of the head-0 graph match the classes, found by
     # scipy's csgraph on the raw head-0 rows rather than by the library
-    indptr, indices = masks.head_csr(0)
-    adjacency = csr_matrix((np.ones(indices.size), indices, indptr), shape=(672, 672))
+    rows = [masks.row(0, i) for i in range(672)]
+    indptr = np.r_[0, np.cumsum([row.size for row in rows])]
+    adjacency = csr_matrix((np.ones(indptr[-1]), np.concatenate(rows), indptr), shape=(672, 672))
     components, labels = connected_components(adjacency, directed=True, connection="weak")
     assert components == 26
     for cls in classes:

@@ -180,7 +180,7 @@ class TestRowClassKernel:
         shared = [0, 5, 9]
         rows = [[i] if i < singletons else shared for i in range(grid.tokens)]
         masks = SparseMaskSet.from_rows(grid, "doppler_aware", [rows])
-        assert masks.row_classes(0)[1].size == singletons + (singletons < grid.tokens)
+        assert masks.validation_report()["row_classes_per_head"] == [singletons + (singletons < grid.tokens)]
         assert masks.row_blocks(0).queries.size <= 3 * grid.tokens
         block = EmbeddingBlock.random(grid.tokens, 4, 1, seed=singletons)
         sparse = sparse_attention_forward(block, masks).output

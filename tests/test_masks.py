@@ -241,21 +241,36 @@ class TestRowClasses:
     def test_matches_reference(self, case):
         masks = ROW_CLASS_CASES[case]()
         for h in range(masks.head_count):
-            classes, reps = masks.row_classes(h)
             want_classes, want_reps = row_classes_reference(masks, h)
-            assert np.array_equal(classes, want_classes)
-            assert np.array_equal(reps, want_reps)
+            assert np.array_equal(masks.head(h)[0], want_classes)
+            assert masks.validation_report()["row_classes_per_head"][h] == want_reps.size
 
     def test_lazy_and_memoized(self):
         masks = build_doppler_masks(GridSpec(8, 8, 3, 2.0))
-        assert masks._row_classes == [None] * 3 and masks._row_blocks == [None] * 3
-        assert masks.row_classes(1) is masks.row_classes(1)
+        assert masks._row_blocks == [None] * 3
         assert masks.row_blocks(2) is masks.row_blocks(2)
 
     def test_validation_report_counts(self, canonical_masks):
         assert build_doppler_masks(GridSpec(64, 64)).validation_report()["row_classes_per_head"] == [64, 32]
         # head 0: the 26 residues mod s; head 1: (i mod 2, i mod 13) pairs
         assert canonical_masks.validation_report()["row_classes_per_head"] == [26, 26]
+
+    # the canonical slot with 3 and 4 heads: (row classes, empty rows)
+    # per head; all empty rows of a head are one class
+    P_HEADS_REPORTS = {
+        (14, 48, 3, 1.0): ([77, 49, 49], [0, 243, 246]),
+        (14, 48, 3, 2.0): ([77, 38, 76], [0, 0, 0]),
+        (14, 48, 3, 4.0): ([77, 76, 57], [0, 0, 175]),
+        (14, 48, 4, 1.0): ([132, 49, 49, 49], [0, 420, 420, 420]),
+        (14, 48, 4, 2.0): ([132, 49, 132, 16], [0, 180, 0, 0]),
+        (14, 48, 4, 4.0): ([132, 132, 15, 15], [0, 0, 84, 524]),
+    }
+
+    @pytest.mark.parametrize("spec", P_HEADS_REPORTS)
+    def test_validation_report_locked_with_more_heads(self, spec):
+        classes, empty = self.P_HEADS_REPORTS[spec]
+        report = build_doppler_masks(GridSpec(*spec)).validation_report()
+        assert report == {"empty_rows_per_head": empty, "row_classes_per_head": classes, "queries_without_keys": 0}
 
     @pytest.mark.parametrize("case", ROW_CLASS_CASES)
     def test_row_blocks_pack_each_class(self, case):
@@ -283,6 +298,16 @@ class TestGridSpec:
                     dict(symbols=2, subcarriers=2, time_bias=0.5)]:
             with pytest.raises(ValueError):
                 GridSpec(**bad)
+        # counts must be integers, not floats or bools, and the error names the field
+        for bad, field in [(dict(symbols=14.0, subcarriers=48), "symbols"),
+                           (dict(symbols=14, subcarriers=48, heads=2.5), "heads"),
+                           (dict(symbols=True, subcarriers=48), "symbols"),
+                           (dict(symbols=14, subcarriers=np.float64(48)), "subcarriers")]:
+            with pytest.raises(ValueError, match=field):
+                GridSpec(**bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert GridSpec(np.int64(14), 48, heads=np.int32(2)).tokens == 672
 
     def test_geometry_constraints(self, canonical_grid):
         s = global_stride(canonical_grid.tokens, canonical_grid.heads)
@@ -346,6 +371,50 @@ class TestMaskJson:
             SparseMaskSet.from_json_dict(payload)
 
 
+class TestClassForm:
+    """A head given as class rows is stored as the class rows of its
+    distinct per-query rows, numbered by smallest query."""
+
+    GRID = GridSpec(2, 3, 1, 1.0)
+    ROWS = [[1, 4], [0], [1, 4], [], [0], [2, 3, 5]]
+
+    def test_class_rows_are_canonicalized(self):
+        # duplicated ([1, 4], empty), unused ([0..5], a second empty row)
+        # and out of order
+        class_rows = [[], [0, 1, 2, 3, 4, 5], [0], [1, 4], [2, 3, 5], [1, 4], []]
+        classes = np.array([3, 2, 5, 0, 2, 4])
+        indptr = np.r_[0, np.cumsum([len(r) for r in class_rows])]
+        indices = np.array([k for r in class_rows for k in r])
+        masks = SparseMaskSet(self.GRID, "doppler_aware", [(classes, indptr, indices)])
+        reference = SparseMaskSet.from_rows(self.GRID, "doppler_aware", [self.ROWS])
+        for got, want in zip(masks.head(0), reference.head(0)):
+            assert np.array_equal(got, want)
+        assert masks.to_json_dict() == reference.to_json_dict()
+        assert masks.head(0)[0].tolist() == [0, 1, 0, 2, 1, 3]
+        assert [masks.row(0, i).tolist() for i in range(6)] == self.ROWS
+
+    @pytest.mark.parametrize(
+        "classes",
+        [np.zeros(5, dtype=np.int64), np.zeros((6, 1), dtype=np.int64), np.array([0, 1, 0, -1, 1, 2]),
+         np.array([0, 1, 0, 4, 1, 2]), np.array([0.0, 1.0, 0.0, 3.0, 1.0, 2.0]),
+         np.array([True, False, True, False, False, True])],
+        ids=["short", "2d", "negative", "past-last-row", "float", "bool"],
+    )
+    def test_bad_class_maps_rejected(self, classes):
+        # four class rows: [1, 4], [0], [], [2, 3, 5]
+        indptr, indices = np.array([0, 2, 3, 3, 6]), np.array([1, 4, 0, 2, 3, 5])
+        with pytest.raises(ValueError, match="class map"):
+            SparseMaskSet(self.GRID, "doppler_aware", [(classes, indptr, indices)])
+
+    def test_doppler_masks_store_class_rows_only(self):
+        # at the token cap, 33.5 M attended keys are held as 98,304 stored
+        # key indices: 256 residue rows of 256 keys and 32 lattice rows
+        masks = build_doppler_masks(GridSpec(256, 256))
+        attended = sum(int(masks.row_lengths(h).sum()) for h in range(masks.head_count))
+        stored = sum(masks.head(h)[2].size for h in range(masks.head_count))
+        assert attended == 33_554_432 and stored < attended // 100
+
+
 class TestRowValidation:
     GRID = GridSpec(2, 2, 1, 1.0)
 
@@ -367,7 +436,7 @@ class TestRowValidation:
     def test_decreasing_row_pointers_rejected(self):
         indptr = np.array([0, 2, 1, 3, 3])
         with pytest.raises(ValueError, match="row pointers"):
-            SparseMaskSet(self.GRID, "doppler_aware", [(indptr, np.array([0, 1, 2]))])
+            SparseMaskSet(self.GRID, "doppler_aware", [(np.arange(4), indptr, np.array([0, 1, 2]))])
 
 
 _BIASES = [1.0, 1.5, 2.0, 3.0, 4.0, 7.5]
@@ -376,17 +445,18 @@ _SUBCARRIERS = st.integers(1, 12)
 
 
 def assert_csr_invariants(masks):
-    """Each head is a well-formed CSR: int64 arrays, pointers from 0 to
-    nnz that never fall, keys in range and strictly ascending per row,
-    and no key after its query on a causal mask."""
+    """Each head is a class map over a well-formed CSR of class rows:
+    int64 arrays, one class per query, pointers from 0 to nnz that
+    never fall, keys in range and strictly ascending per row, and no key
+    after its query on a causal mask."""
     tokens = masks.tokens
     for h in range(masks.head_count):
-        indptr, indices = masks.head_csr(h)
-        assert indptr.dtype == indices.dtype == np.int64
-        assert indptr.shape == (tokens + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
-        assert (np.diff(indptr) >= 0).all() and np.array_equal(np.diff(indptr), masks.row_lengths(h))
+        classes, indptr, indices = masks.head(h)
+        assert classes.dtype == indptr.dtype == indices.dtype == np.int64
+        assert classes.shape == (tokens,) and indptr[0] == 0 and indptr[-1] == indices.size
+        assert (np.diff(indptr) >= 0).all() and np.array_equal(np.diff(indptr)[classes], masks.row_lengths(h))
         for i in range(tokens):
-            row = indices[indptr[i] : indptr[i + 1]]
+            row = indices[indptr[classes[i]] : indptr[classes[i] + 1]]
             assert (np.diff(row) > 0).all() and ((row >= 0) & (row < tokens)).all()
             if masks.causal:
                 assert (row <= i).all()

@@ -7,7 +7,8 @@ inside OUT so that the paths it reports are the same in any OUT.  Each
 command's exit code and stdout go to `<name>.stdout`, beside the file
 it writes:
 
-- `masks` JSON on the 11 grids whose hop diameters the tests lock, and
+- `masks` JSON on the 17 grids whose hop diameters the tests lock
+  (the canonical slot with 3 and 4 heads among them), and
   fixed-strided masks, causal and not, on the 2-head ones;
 - `graph --report` JSON on the same grids;
 - the attended-keys histogram CSV;
@@ -45,6 +46,12 @@ GRIDS = [
     (1, 9, 2, 2.0),
     (9, 1, 2, 2.0),
     (7, 11, 3, 1.5),
+    (14, 48, 3, 1.0),
+    (14, 48, 3, 2.0),
+    (14, 48, 3, 4.0),
+    (14, 48, 4, 1.0),
+    (14, 48, 4, 2.0),
+    (14, 48, 4, 4.0),
 ]
 
 
