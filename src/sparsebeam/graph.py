@@ -58,24 +58,33 @@ def verify_partition(maskset: SparseMaskSet) -> PartitionCheck:
 
     Passes iff every head-0 row equals the query's full residue class;
     an extra edge is an inter-class witness, a missing one an
-    incomplete-subgraph witness.
+    incomplete-subgraph witness.  The witness is the first failing
+    query's smallest extra key, else its smallest missing one.
     """
     if maskset.pattern_kind != DOPPLER_AWARE:
         raise ValueError(f"partition check applies to {DOPPLER_AWARE} masks")
     tokens = maskset.tokens
     s = global_stride(tokens, maskset.grid.heads)
-    classes = equivalence_classes(tokens, s)
-    for i in range(tokens):
-        row = maskset.row(0, i)
-        expected = classes[i % s]
-        if np.array_equal(row, expected):
-            continue
-        extra = np.setdiff1d(row, expected, assume_unique=False)
-        if extra.size:
-            return PartitionCheck(False, witness=(i, int(extra[0])), witness_kind="inter_class_edge")
-        missing = np.setdiff1d(expected, row, assume_unique=False)
-        return PartitionCheck(False, witness=(i, int(missing[0])), witness_kind="missing_intra_class_edge")
-    return PartitionCheck(True)
+    classes, indptr, indices = maskset.head(0)
+    # Row c is residue class r exactly iff it is non-empty, every key is
+    # r mod s (r from its first key) and it holds all of r's keys.
+    lengths = np.diff(indptr)
+    residue = np.full(lengths.size, -1, dtype=np.int64)
+    live = lengths > 0
+    residue[live] = indices[indptr[:-1][live]] % s
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    residue[rows[indices % s != residue[rows]]] = -1
+    residue[lengths != (tokens - 1 - residue) // s + 1] = -1
+    wrong = np.flatnonzero(residue[classes] != np.arange(tokens) % s)
+    if not wrong.size:
+        return PartitionCheck(True)
+    i = int(wrong[0])
+    row, expected = maskset.row(0, i), np.arange(i % s, tokens, s)
+    extra = np.setdiff1d(row, expected)
+    if extra.size:
+        return PartitionCheck(False, witness=(i, int(extra[0])), witness_kind="inter_class_edge")
+    missing = np.setdiff1d(expected, row)
+    return PartitionCheck(False, witness=(i, int(missing[0])), witness_kind="missing_intra_class_edge")
 
 
 def effective_step(stride_time: int, stride_freq: int, subcarriers: int) -> int:
@@ -333,7 +342,7 @@ def connectivity_report(
     if maskset.grid != grid:
         raise ValueError(f"mask set grid {maskset.grid} differs from report grid {grid}")
     s = global_stride(grid.tokens, grid.heads)
-    class_sizes = [int(c.size) for c in equivalence_classes(grid.tokens, s)]
+    class_sizes = np.bincount(maskset.head(0)[0]).tolist()
     bridging = []
     for h in range(1, grid.heads):
         st, sf = head_strides(s, grid.time_bias, h)

@@ -2,14 +2,18 @@
 
 Tokens live on an OFDM-style grid of `symbols` x `subcarriers` resource
 elements, flattened row-major: token i sits at (i // subcarriers,
-i % subcarriers).  Two mask families are built here:
+i % subcarriers).  A mask set is a list of heads, each made by one of
+three constructors: a residue head (query i attends its residue class
+modulo a stride s), a lattice head (query i attends a 2D lattice of
+time and frequency strides, offset per query) and a window head (query
+i attends the keys less than a width away).  Two patterns compose them:
 
-* Doppler-aware masks: head 0 is a global strided head that attends the
-  query's whole residue class modulo a stride s derived from the token
-  count and head count; heads 1..p-1 attend a 2D lattice whose time and
-  frequency strides are skewed by a time-bias factor.
-* Fixed-strided masks: the classic two-head baseline (local window head
-  plus strided head) over the flattened sequence.
+* Doppler-aware masks: a residue head with s derived from the token
+  count and head count, then p - 1 lattice heads whose strides are
+  skewed toward the time axis by a time-bias factor.
+* Fixed-strided masks: the classic two-head baseline over the
+  flattened sequence, a window head and a residue head, optionally
+  causal.
 
 Masks are stored by row class: query i of a head attends row classes[i]
 of a CSR of the head's distinct rows, each a strictly ascending int64
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +37,13 @@ DEFAULT_TOKEN_CAP = 65536
 
 DOPPLER_AWARE = "doppler_aware"
 FIXED_STRIDED = "fixed_strided"
+
+
+def _json_field(payload, key):
+    """payload[key] of a JSON object, or a ValueError naming the key."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"missing JSON key {key!r}")
+    return payload[key]
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,13 @@ class GridSpec:
     def from_json_dict(cls, payload: dict) -> "GridSpec":
         """Inverse of `to_json_dict`.  L, K and p must be JSON integers and
         lambda a finite JSON number; nothing is coerced (`2.9` or `"2"` for
-        L is a ValueError, not a 2-symbol grid)."""
+        L is a ValueError, not a 2-symbol grid), and a missing key is a
+        ValueError too."""
         for key in ("L", "K", "p"):
-            if isinstance(payload[key], bool) or not isinstance(payload[key], int):
-                raise ValueError(f"grid {key} must be an integer, got {payload[key]!r}")
-        lam = payload["lambda"]
+            value = _json_field(payload, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"grid {key} must be an integer, got {value!r}")
+        lam = _json_field(payload, "lambda")
         if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not math.isfinite(lam):
             raise ValueError(f"grid lambda must be a finite number, got {lam!r}")
         return cls(symbols=payload["L"], subcarriers=payload["K"], heads=payload["p"], time_bias=float(lam))
@@ -227,7 +241,9 @@ def head_offsets(query, head: int, stride_time: int, stride_freq: int) -> tuple:
 
 
 class SparseMaskSet:
-    """Per-head, per-query sorted key-index lists over a token grid.
+    """Multi-head attention masks over a token grid, each head stored by
+    row class: the distinct sorted key-index rows once, and per query
+    the row it attends.
 
     Each head is given, and stored, as (classes, indptr, indices): query
     i attends row classes[i] of the CSR (indptr, indices).  The
@@ -360,12 +376,65 @@ class SparseMaskSet:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SparseMaskSet":
-        grid = GridSpec.from_json_dict(payload["grid"])
-        entries = sorted(payload["heads"], key=lambda e: e["head"])
-        if [e["head"] for e in entries] != list(range(grid.heads)):
+        """Inverse of `to_json_dict`.  A missing key, a head index or row
+        key that is not a JSON integer (`true` is not 1) and head indices
+        other than exactly 0..p-1 raise ValueError."""
+        grid = GridSpec.from_json_dict(_json_field(payload, "grid"))
+        entries = _json_field(payload, "heads")
+        heads = [_json_field(e, "head") for e in entries]
+        if any(isinstance(h, bool) or not isinstance(h, int) for h in heads):
+            raise ValueError(f"mask JSON 'head' must be an integer, got {heads!r}")
+        if sorted(heads) != list(range(grid.heads)):
             raise ValueError(f"head indices must be exactly 0..{grid.heads - 1}")
-        rows_per_head = [e["rows"] for e in entries]
-        return cls.from_rows(grid, payload["grid"]["pattern"], rows_per_head, causal=payload.get("causal", False))
+        by_head = dict(zip(heads, entries))
+        rows_per_head = [_json_field(by_head[h], "rows") for h in range(grid.heads)]
+        if bool in set(map(type, chain.from_iterable(chain.from_iterable(rows_per_head)))):
+            raise ValueError("mask JSON 'rows' must hold integer keys, not booleans")
+        pattern = _json_field(payload["grid"], "pattern")
+        return cls.from_rows(grid, pattern, rows_per_head, causal=payload.get("causal", False))
+
+
+def _progressions(starts, lengths, step):
+    """CSR (indptr, indices) whose row i is the arithmetic progression
+    starts[i], starts[i] + step, ... of lengths[i] keys."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.arange(0, step * indptr[-1], step, dtype=np.int64)
+    indices += np.repeat(starts - step * indptr[:-1], lengths)
+    return indptr, indices
+
+
+def _residue_head(tokens, s, causal):
+    """(classes, indptr, indices) of the head whose query i attends its
+    residue class {j : j == i mod s}, only keys j <= i if `causal`."""
+    queries = np.arange(tokens, dtype=np.int64)
+    if causal:
+        # Every causal row ends at its query, so each query has its own.
+        return (queries, *_progressions(queries % s, queries // s + 1, s))
+    members = [np.arange(r, tokens, s, dtype=np.int64) for r in range(s)]
+    return (queries % s, *_rows_to_csr(members))
+
+
+def _lattice_head(grid, st, sf, head):
+    """(classes, indptr, indices) of lattice head `head` with strides
+    (st, sf): query i attends lattice row off_t * sf + off_f, its
+    offsets from `head_offsets`."""
+    queries = np.arange(grid.tokens, dtype=np.int64)
+    off_t, off_f = head_offsets(queries, head, st, sf)
+    sym, sub = grid.symbols, grid.subcarriers
+    times = [np.arange(dt, sym, st, dtype=np.int64)[:, None] * sub for dt in range(st)]
+    lattice = [(t + np.arange(df, sub, sf, dtype=np.int64)).ravel() for t in times for df in range(sf)]
+    return (off_t * sf + off_f, *_rows_to_csr(lattice))
+
+
+def _window_head(tokens, width, causal):
+    """(classes, indptr, indices) of the head whose query i attends the
+    keys j with |i - j| < width, only j <= i if `causal`; one row per
+    query."""
+    queries = np.arange(tokens, dtype=np.int64)
+    lo = np.maximum(0, queries - width + 1)
+    hi = queries + 1 if causal else np.minimum(tokens, queries + width)
+    return (queries, *_progressions(lo, hi - lo, 1))
 
 
 def _check_token_cap(grid: GridSpec, max_tokens: int) -> None:
@@ -388,25 +457,10 @@ def build_doppler_masks(grid: GridSpec, max_tokens: int = DEFAULT_TOKEN_CAP) -> 
     they are kept as-is and surfaced by `validation_report`.
     """
     _check_token_cap(grid, max_tokens)
-    tokens = grid.tokens
-    sym, sub = grid.symbols, grid.subcarriers
-    s = global_stride(tokens, grid.heads)
-
-    queries = np.arange(tokens, dtype=np.int64)
-
-    # Global head: query i attends residue class i mod s.
-    members = [np.arange(r, tokens, s, dtype=np.int64) for r in range(s)]
-    head_rows = [(queries % s, *_rows_to_csr(members))]
-
-    # Lattice head: query i attends lattice row off_t * sf + off_f.
-    for h in range(1, grid.heads):
-        st, sf = head_strides(s, grid.time_bias, h)
-        off_t, off_f = head_offsets(queries, h, st, sf)
-        times = [np.arange(dt, sym, st, dtype=np.int64)[:, None] * sub for dt in range(st)]
-        lattice = [(t + np.arange(df, sub, sf, dtype=np.int64)).ravel() for t in times for df in range(sf)]
-        head_rows.append((off_t * sf + off_f, *_rows_to_csr(lattice)))
-
-    return SparseMaskSet(grid, DOPPLER_AWARE, head_rows)
+    s = global_stride(grid.tokens, grid.heads)
+    heads = [_residue_head(grid.tokens, s, False)]
+    heads += [_lattice_head(grid, *head_strides(s, grid.time_bias, h), h) for h in range(1, grid.heads)]
+    return SparseMaskSet(grid, DOPPLER_AWARE, heads)
 
 
 def build_fixed_strided_masks(
@@ -414,28 +468,18 @@ def build_fixed_strided_masks(
 ) -> SparseMaskSet:
     """Two-head fixed-strided baseline over the flattened sequence.
 
-    Head 0 (local): row i = {j : |i - j| < s}.  Head 1 (strided):
-    row i = {j : (i - j) mod s == 0}.  The bidirectional variant is the
+    Head 0 is the window head of width s, row i = {j : |i - j| < s};
+    head 1 the residue head, row i = {j : (i - j) mod s == 0}, with
+    s = global_stride(tokens, 2).  The bidirectional variant is the
     default since the token grid is not causal in time; `causal=True`
     restricts both heads to keys j <= i.
     """
     if grid.heads != 2:
         raise ValueError("the canonical fixed-strided pattern uses exactly 2 heads")
     _check_token_cap(grid, max_tokens)
-    tokens = grid.tokens
-    s = global_stride(tokens, 2)
-
-    local_rows, strided_rows = [], []
-    for i in range(tokens):
-        if causal:
-            local = np.arange(max(0, i - s + 1), i + 1, dtype=np.int64)
-            strided = np.arange(i % s, i + 1, s, dtype=np.int64)
-        else:
-            local = np.arange(max(0, i - s + 1), min(tokens, i + s), dtype=np.int64)
-            strided = np.arange(i % s, tokens, s, dtype=np.int64)
-        local_rows.append(local)
-        strided_rows.append(strided)
-    return SparseMaskSet.from_rows(grid, FIXED_STRIDED, [local_rows, strided_rows], causal=causal)
+    s = global_stride(grid.tokens, 2)
+    heads = [_window_head(grid.tokens, s, causal), _residue_head(grid.tokens, s, causal)]
+    return SparseMaskSet(grid, FIXED_STRIDED, heads, causal=causal)
 
 
 def row_count_closedform(grid: GridSpec, head: int, query: int) -> int:
@@ -451,7 +495,7 @@ def row_count_closedform(grid: GridSpec, head: int, query: int) -> int:
     s = global_stride(grid.tokens, grid.heads)
     if head == 0:
         r = query % s
-        return (grid.tokens - 1 - r) // s + 1 if r < grid.tokens else 0
+        return (grid.tokens - 1 - r) // s + 1
     st, sf = head_strides(s, grid.time_bias, head)
     off_t, off_f = head_offsets(query, head, st, sf)
     n_time = 0 if off_t >= grid.symbols else (grid.symbols - 1 - off_t) // st + 1

@@ -128,6 +128,27 @@ def row_classes_reference(masks, head):
     return np.array(classes), np.array(representatives)
 
 
+def partition_reference(maskset):
+    """`verify_partition` by a loop over every query: the first query
+    whose head-0 row is not its full residue class gives the witness,
+    its smallest extra key, else its smallest missing one."""
+    from sparsebeam.graph import PartitionCheck
+
+    tokens = maskset.tokens
+    s = stride_reference(tokens, maskset.grid.heads)
+    for i in range(tokens):
+        row = maskset.row(0, i)
+        expected = np.arange(i % s, tokens, s)
+        if np.array_equal(row, expected):
+            continue
+        extra = np.setdiff1d(row, expected)
+        if extra.size:
+            return PartitionCheck(False, witness=(i, int(extra[0])), witness_kind="inter_class_edge")
+        missing = np.setdiff1d(expected, row)
+        return PartitionCheck(False, witness=(i, int(missing[0])), witness_kind="missing_intra_class_edge")
+    return PartitionCheck(True)
+
+
 def softmax_rows_reference(scores, allowed):
     """Row softmax over allowed entries only; all-blocked rows -> zeros."""
     tokens = scores.shape[0]

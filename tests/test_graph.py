@@ -17,6 +17,7 @@ from sparsebeam import (
     connectivity_report,
     effective_step,
     equivalence_classes,
+    global_stride,
     graph,
     hop_diameter,
     union_adjacency,
@@ -24,7 +25,7 @@ from sparsebeam import (
 )
 
 from conftest import BATTERY_GRIDS, head_subset
-from reference import diameter_by_powering, hop_diameter_reference
+from reference import diameter_by_powering, hop_diameter_reference, partition_reference
 
 
 def dense_union(maskset, undirected=False):
@@ -84,6 +85,31 @@ class TestVerifyPartition:
     @pytest.mark.parametrize("spec", BATTERY_GRIDS)
     def test_battery_always_passes(self, spec):
         assert verify_partition(build_doppler_masks(GridSpec(*spec))).passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        symbols=st.integers(1, 8),
+        subcarriers=st.integers(1, 12),
+        heads=st.integers(1, 4),
+        bias=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+    )
+    def test_corrupted_rows_match_loop_oracle(self, data, symbols, subcarriers, heads, bias):
+        grid = GridSpec(symbols, subcarriers, heads, bias)
+        masks = build_doppler_masks(grid)
+        rows = [[masks.row(h, i).tolist() for i in range(grid.tokens)] for h in range(heads)]
+        query = st.integers(0, grid.tokens - 1)
+        for kind in data.draw(st.lists(st.sampled_from(["add", "drop", "swap"]), max_size=3)):
+            i = data.draw(query)
+            if kind == "add":
+                rows[0][i] = sorted(set(rows[0][i]) | {data.draw(query)})
+            elif kind == "drop" and rows[0][i]:
+                del rows[0][i][data.draw(st.integers(0, len(rows[0][i]) - 1))]
+            elif kind == "swap":
+                j = data.draw(query)
+                rows[0][i], rows[0][j] = rows[0][j], rows[0][i]
+        corrupted = SparseMaskSet.from_rows(grid, "doppler_aware", rows)
+        assert verify_partition(corrupted) == partition_reference(corrupted)
 
 
 class TestBridging:
@@ -300,6 +326,13 @@ class TestConnectivityReport:
         if report.bridging_heads:
             assert report.fully_connected, spec
             assert not report.undirected.unreachable_pairs
+
+    @pytest.mark.parametrize("spec", BATTERY_GRIDS + [(14, 48, p, lam) for p in (3, 4) for lam in (1.0, 2.0, 4.0)])
+    def test_class_sizes_are_the_residue_classes(self, spec):
+        grid = GridSpec(*spec)
+        s = global_stride(grid.tokens, grid.heads)
+        sizes = [c.size for c in equivalence_classes(grid.tokens, s)]
+        assert connectivity_report(grid).class_sizes == sizes
 
     def test_json_mirror(self, canonical_grid):
         report = connectivity_report(canonical_grid)

@@ -255,8 +255,11 @@ class TestRowClasses:
         # head 0: the 26 residues mod s; head 1: (i mod 2, i mod 13) pairs
         assert canonical_masks.validation_report()["row_classes_per_head"] == [26, 26]
 
-    # the canonical slot with 3 and 4 heads: (row classes, empty rows)
-    # per head; all empty rows of a head are one class
+    # the canonical slot with 3 and 4 heads, and 64x64 with 3: (row
+    # classes, empty rows) per head; all empty rows of a head are one
+    # class.  On 64x64 head 1's frequency stride (128) exceeds K (64),
+    # so the 2048 queries whose frequency offset is 64 or more get an
+    # empty row.
     P_HEADS_REPORTS = {
         (14, 48, 3, 1.0): ([77, 49, 49], [0, 243, 246]),
         (14, 48, 3, 2.0): ([77, 38, 76], [0, 0, 0]),
@@ -264,6 +267,7 @@ class TestRowClasses:
         (14, 48, 4, 1.0): ([132, 49, 49, 49], [0, 420, 420, 420]),
         (14, 48, 4, 2.0): ([132, 49, 132, 16], [0, 180, 0, 0]),
         (14, 48, 4, 4.0): ([132, 132, 15, 15], [0, 0, 84, 524]),
+        (64, 64, 3, 2.0): ([256, 65, 64], [0, 2048, 0]),
     }
 
     @pytest.mark.parametrize("spec", P_HEADS_REPORTS)
@@ -358,6 +362,37 @@ class TestMaskJson:
         with pytest.raises(ValueError, match="head indices"):
             SparseMaskSet.from_json_dict(payload)
 
+    # JSON path to a value, the value put there (None deletes the key) and
+    # the key the error must name; booleans are never read as 0 or 1
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (["heads", 1, "head"], True, "head"),
+            (["heads", 0, "rows", 1, 0], True, "rows"),
+            (["grid"], None, "grid"),
+            (["heads"], None, "heads"),
+            (["heads", 1, "head"], None, "head"),
+            (["heads", 0, "rows"], None, "rows"),
+            (["grid", "pattern"], None, "pattern"),
+            (["grid", "lambda"], None, "lambda"),
+        ],
+        ids=["head-true", "key-true", "no-grid", "no-heads", "no-head", "no-rows", "no-pattern", "no-lambda"],
+    )
+    def test_json_keys_required_and_not_coerced(self, path, value, key):
+        payload = build_doppler_masks(GridSpec(3, 4, 2, 2.0)).to_json_dict()
+        # "key-true" turns row [1, 5, ...] into [true, 5, ...]: read as 1,
+        # it would be the same, valid row
+        assert payload["heads"][0]["rows"][1][:2] == [1, 5]
+        *parents, last = path
+        target = payload
+        for step in parents:
+            target = target[step]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            SparseMaskSet.from_json_dict(payload)
 
     @pytest.mark.parametrize(
         "key, value",

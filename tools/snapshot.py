@@ -7,7 +7,7 @@ inside OUT so that the paths it reports are the same in any OUT.  Each
 command's exit code and stdout go to `<name>.stdout`, beside the file
 it writes:
 
-- `masks` JSON on the 17 grids whose hop diameters the tests lock
+- `masks` JSON on 17 of the grids whose hop diameters the tests lock
   (the canonical slot with 3 and 4 heads among them), and
   fixed-strided masks, causal and not, on the 2-head ones;
 - `graph --report` JSON on the same grids;
@@ -33,7 +33,7 @@ from pathlib import Path
 
 from sparsebeam.cli import cli_dispatch
 
-# (L, K, heads, lambda) of the grids whose hop diameters the tests lock
+# (L, K, heads, lambda) of 17 grids whose hop diameters the tests lock
 GRIDS = [
     (14, 48, 2, 2.0),
     (2, 3, 2, 2.0),
