@@ -2,12 +2,13 @@
 
 The sparse forward pass attends each distinct mask row (row class)
 once: the queries that share a row form dense blocks against that
-row's gathered keys and values.  The dense oracle materializes the
-full score matrix and masks with -inf before the softmax.  Both paths
-must agree to float precision, and the hand-written backward pass is
-checked against central finite differences.  Embeddings are
-synthetic (seeded Gaussian): the mechanism is under test here, not
-learned weights.
+row's gathered keys and values.  Both passes walk each head's blocks
+in tiles whose temporaries stay near cache size.  The dense oracle
+materializes the full score matrix and masks with -inf before the
+softmax.  Both paths must agree to float precision, and the
+hand-written backward pass is checked against central finite
+differences.  Embeddings are synthetic (seeded Gaussian): the
+mechanism is under test here, not learned weights.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import numpy as np
 from .masks import RowBlocks, SparseMaskSet
 
 _GRADIENT_CHECK_STEP = 1e-5
+# Entries of a kernel tile's largest temporary (128 KiB of float64):
+# each tile's arrays stay near cache size and are reused from the heap
+# instead of being mapped and faulted in afresh.
+_TILE_ENTRIES = 16384
 
 
 @dataclass
@@ -88,22 +93,52 @@ def _check_block(block: EmbeddingBlock, masks: SparseMaskSet) -> None:
         )
 
 
-def _class_attention(block: EmbeddingBlock, packed: RowBlocks, head: int):
-    """One head's softmax attention over its row blocks: q (blocks, n, d)
-    against each block's gathered k, v (blocks, width, d).  Returns q
-    scaled by 1/sqrt(d), k, v, the weights (blocks, n, width; 0 on
-    padded keys) and the outputs (blocks, n, d)."""
-    q = block.queries[head].take(packed.queries, axis=0)
-    q *= 1.0 / math.sqrt(block.head_dim)
-    k = block.keys[head].take(packed.keys, axis=0)
-    v = block.values[head].take(packed.keys, axis=0)
+def _tiles(packed: RowBlocks, d: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """A head's row blocks in tiles of consecutive blocks whose largest
+    temporary (scores, gathered K or V, or q) holds at most
+    `_TILE_ENTRIES` entries, or of one block if a block alone is larger.
+    Each tile is (its block slice, the queries it places, their flat
+    slots within the tile), in block order."""
+    blocks, n = packed.queries.shape
+    width = packed.keys.shape[1]
+    step = max(1, _TILE_ENTRIES // max(n * width, width * d, n * d))
+    if step >= blocks:  # what the cut below gives, without its cost at desk scale
+        return [(slice(0, blocks), packed.placed, packed.slots)]
+    # Slots ascend (blocks are numbered in class order), so each tile
+    # places one run of them.
+    bounds = [*range(0, blocks, step), blocks]
+    cuts = np.searchsorted(packed.slots, [b * n for b in bounds]).tolist()
+    return [
+        (slice(a, b), packed.placed[lo:hi], packed.slots[lo:hi] - a * n)
+        for a, b, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:])
+    ]
+
+
+def _head_arrays(block: EmbeddingBlock, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head's (tokens, d) Q, K and V, C-contiguous: `take` copies a
+    non-contiguous source whole on every call, and it runs per tile."""
+    q, k, v = block.queries[head], block.keys[head], block.values[head]
+    return np.ascontiguousarray(q), np.ascontiguousarray(k), np.ascontiguousarray(v)
+
+
+def _class_attention(head: tuple[np.ndarray, np.ndarray, np.ndarray], packed: RowBlocks, tile: slice):
+    """One head's softmax attention over a tile of its row blocks: q
+    (blocks, n, d) against each block's gathered k, v (blocks, width,
+    d), from the head's `_head_arrays`.  Returns q scaled by 1/sqrt(d),
+    k, v and the weights (blocks, n, width; 0 on padded keys)."""
+    queries, keys, values = head
+    q = queries.take(packed.queries[tile], axis=0)
+    q *= 1.0 / math.sqrt(q.shape[2])
+    rows = packed.keys[tile]
+    k = keys.take(rows, axis=0)
+    v = values.take(rows, axis=0)
     weights = np.matmul(q, k.transpose(0, 2, 1))
-    np.copyto(weights, -np.inf, where=~packed.key_valid[:, None, :])
+    np.copyto(weights, -np.inf, where=~packed.key_valid[tile, None, :])
     # Every block row has a key, so the max is finite; exp(-inf) = 0 on padding.
     weights -= weights.max(axis=2, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=2, keepdims=True)
-    return q, k, v, weights, np.matmul(weights, v)
+    return q, k, v, weights
 
 
 def sparse_attention_forward(block: EmbeddingBlock, masks: SparseMaskSet) -> AttentionResult:
@@ -119,9 +154,10 @@ def sparse_attention_forward(block: EmbeddingBlock, masks: SparseMaskSet) -> Att
     output = np.zeros((block.tokens, block.model_dim))
     empty: list[tuple[int, int]] = []
     for h in range(block.heads):
-        packed = masks.row_blocks(h)
-        out = _class_attention(block, packed, h)[4]
-        output[packed.placed, h * d : (h + 1) * d] = out.reshape(-1, d).take(packed.slots, axis=0)
+        packed, head = masks.row_blocks(h), _head_arrays(block, h)
+        for tile, queries, slots in _tiles(packed, d):
+            _, _, v, weights = _class_attention(head, packed, tile)
+            output[queries, h * d : (h + 1) * d] = np.matmul(weights, v).reshape(-1, d).take(slots, axis=0)
         empty.extend((h, int(i)) for i in np.flatnonzero(masks.row_lengths(h) == 0))
     return AttentionResult(output, empty)
 
@@ -160,7 +196,7 @@ def sparse_attention_backward(block: EmbeddingBlock, masks: SparseMaskSet, d_out
     Q/K/V entry, where output is `sparse_attention_forward(block,
     masks).output` and d_out, shaped like it, is the upstream gradient.
 
-    Recomputes the forward on the same row-class layout.
+    Recomputes the forward on the same row-class layout and tiles.
     """
     _check_block(block, masks)
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -172,20 +208,22 @@ def sparse_attention_backward(block: EmbeddingBlock, masks: SparseMaskSet, d_out
     d_k = np.zeros_like(block.keys)
     d_v = np.zeros_like(block.values)
     for h in range(block.heads):
-        packed = masks.row_blocks(h)
-        q, k, v, weights, _ = _class_attention(block, packed, h)
-        blocks, n, _ = weights.shape
-        g = np.zeros((blocks * n, d))  # padded slots carry no gradient
-        g[packed.slots] = d_out[packed.placed, h * d : (h + 1) * d]
-        g = g.reshape(blocks, n, d)
-        keys = packed.keys[packed.key_valid]
-        # values: each attended v_j collects weight * upstream gradient
-        np.add.at(d_v[h], keys, np.matmul(weights.transpose(0, 2, 1), g)[packed.key_valid])
-        # softmax backward: ds = w * (a - sum_j w_j a_j), a = g . v_j
-        a = np.matmul(g, v.transpose(0, 2, 1))
-        ds = weights * (a - (weights * a).sum(axis=2, keepdims=True))
-        d_q[h][packed.placed] = (np.matmul(ds, k) * scale).reshape(-1, d)[packed.slots]
-        np.add.at(d_k[h], keys, np.matmul(ds.transpose(0, 2, 1), q)[packed.key_valid])
+        packed, head = masks.row_blocks(h), _head_arrays(block, h)
+        # Tiles run in block order, so np.add.at sums in the same order
+        # as one pass over the whole head.
+        for tile, queries, slots in _tiles(packed, d):
+            q, k, v, weights = _class_attention(head, packed, tile)
+            g = np.zeros(q.shape)  # padded slots carry no gradient
+            g.reshape(-1, d)[slots] = d_out[queries, h * d : (h + 1) * d]
+            valid = packed.key_valid[tile]
+            keys = packed.keys[tile][valid]
+            # values: each attended v_j collects weight * upstream gradient
+            np.add.at(d_v[h], keys, np.matmul(weights.transpose(0, 2, 1), g)[valid])
+            # softmax backward: ds = w * (a - sum_j w_j a_j), a = g . v_j
+            a = np.matmul(g, v.transpose(0, 2, 1))
+            ds = weights * (a - (weights * a).sum(axis=2, keepdims=True))
+            d_q[h][queries] = (np.matmul(ds, k) * scale).reshape(-1, d)[slots]
+            np.add.at(d_k[h], keys, np.matmul(ds.transpose(0, 2, 1), q)[valid])
     return d_q, d_k, d_v
 
 

@@ -1,5 +1,7 @@
 """Sparse kernel vs dense oracle, gradient checks, histogram accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from sparsebeam import (
     sparse_attention_backward,
     sparse_attention_forward,
 )
+from sparsebeam import attention
 
 from reference import softmax_rows_reference
 
@@ -37,6 +40,24 @@ def make_case(spec, model_dim=8, seed=0):
     dim = model_dim if model_dim % heads == 0 else heads * max(1, model_dim // heads)
     block = EmbeddingBlock.random(grid.tokens, dim, heads, seed=seed)
     return grid, masks, block
+
+
+def draw_row_masks(data):
+    """Random `from_rows` masks and embeddings.  Rows come from a small
+    pool, so row classes repeat; the pool holds empty rows and rows of
+    unequal lengths, so blocks carry padded keys and classes are skewed."""
+    symbols = data.draw(st.integers(1, 5))
+    subcarriers = data.draw(st.integers(1, 40 // symbols))
+    heads = data.draw(st.integers(1, 3))
+    grid = GridSpec(symbols, subcarriers, heads)
+    key_sets = st.sets(st.integers(0, grid.tokens - 1), max_size=grid.tokens).map(sorted)
+    rows_per_head = []
+    for _ in range(heads):
+        pool = data.draw(st.lists(key_sets, min_size=1, max_size=4))
+        rows_per_head.append(data.draw(st.lists(st.sampled_from(pool), min_size=grid.tokens, max_size=grid.tokens)))
+    masks = SparseMaskSet.from_rows(grid, "doppler_aware", rows_per_head)
+    block = EmbeddingBlock.random(grid.tokens, 2 * heads, heads, seed=data.draw(st.integers(0, 2**16)))
+    return masks, block
 
 
 class TestForward:
@@ -154,19 +175,7 @@ class TestRowClassKernel:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_masks_match_oracle(self, data):
-        # rows come from a small pool, so row classes repeat; the pool
-        # holds empty rows and rows of unequal lengths
-        symbols = data.draw(st.integers(1, 5))
-        subcarriers = data.draw(st.integers(1, 40 // symbols))
-        heads = data.draw(st.integers(1, 3))
-        grid = GridSpec(symbols, subcarriers, heads)
-        key_sets = st.sets(st.integers(0, grid.tokens - 1), max_size=grid.tokens).map(sorted)
-        rows_per_head = []
-        for _ in range(heads):
-            pool = data.draw(st.lists(key_sets, min_size=1, max_size=4))
-            rows_per_head.append(data.draw(st.lists(st.sampled_from(pool), min_size=grid.tokens, max_size=grid.tokens)))
-        masks = SparseMaskSet.from_rows(grid, "doppler_aware", rows_per_head)
-        block = EmbeddingBlock.random(grid.tokens, 2 * heads, heads, seed=data.draw(st.integers(0, 2**16)))
+        masks, block = draw_row_masks(data)
         sparse = sparse_attention_forward(block, masks)
         dense = dense_masked_oracle(block, masks)
         assert np.abs(sparse.output - dense.output).max() <= 1e-12
@@ -185,6 +194,109 @@ class TestRowClassKernel:
         block = EmbeddingBlock.random(grid.tokens, 4, 1, seed=singletons)
         sparse = sparse_attention_forward(block, masks).output
         assert np.abs(sparse - dense_masked_oracle(block, masks).output).max() <= 1e-12
+
+
+def tiled_pass(block, masks, budget):
+    """Forward result and backward gradients with the kernel's tile
+    budget set to `budget` entries, and each head's tile count."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attention, "_TILE_ENTRIES", budget)
+        tiles = [len(attention._tiles(masks.row_blocks(h), block.head_dim)) for h in range(block.heads)]
+        result = sparse_attention_forward(block, masks)
+        d_out = np.random.default_rng(7).standard_normal(result.output.shape)
+        grads = sparse_attention_backward(block, masks, d_out)
+    return result, grads, tiles
+
+
+# Tile budgets from one row block per tile to one tile per head; the
+# ones between leave a partial last tile on most heads.
+TILE_BUDGETS = (1, 100, 1000, 10**4, 10**12)
+
+
+def assert_tiling_is_exact(block, masks):
+    """Every tile budget gives the bytes of one tile per head, and one
+    block per tile matches the dense oracle."""
+    blocks = [masks.row_blocks(h).queries.shape[0] for h in range(block.heads)]
+    passes = [tiled_pass(block, masks, budget) for budget in TILE_BUDGETS]
+    assert passes[0][2] == [max(1, b) for b in blocks]
+    whole, whole_grads, whole_tiles = passes[-1]
+    assert whole_tiles == [1] * block.heads
+    for result, grads, _ in passes[:-1]:
+        assert result.output.tobytes() == whole.output.tobytes()
+        assert result.empty_rows == whole.empty_rows
+        for a, b in zip(grads, whole_grads):
+            assert a.tobytes() == b.tobytes()
+    dense = dense_masked_oracle(block, masks)
+    assert np.abs(passes[0][0].output - dense.output).max() <= 1e-12
+    assert passes[0][0].empty_rows == dense.empty_rows
+
+
+def working_peak_mib(call):
+    """tracemalloc peak of `call()`, less the bytes of the arrays it
+    returns, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = result if isinstance(result, tuple) else (result.output,)
+    return (peak - sum(a.nbytes for a in arrays)) / 2**20
+
+
+class TestTiles:
+    # Most Tier-1 heads fit in one tile, so the tile boundaries are
+    # forced here: a budget of 1 entry makes each row block a tile.
+    @pytest.mark.parametrize(
+        "build,heads",
+        [
+            (build_doppler_masks, 2),
+            (build_doppler_masks, 3),
+            (build_fixed_strided_masks, 2),
+            (lambda grid: build_fixed_strided_masks(grid, causal=True), 2),
+        ],
+        ids=["doppler-p2", "doppler-p3", "fixed", "fixed-causal"],
+    )
+    def test_tile_boundaries_are_exact(self, build, heads):
+        grid = GridSpec(14, 48, heads, 2.0)
+        masks = build(grid)
+        block = EmbeddingBlock.random(grid.tokens, 16 * heads, heads, seed=heads)
+        assert_tiling_is_exact(block, masks)
+        # non-contiguous activations: each head is made contiguous once
+        # and gives the same bytes
+        view = EmbeddingBlock(*(np.asfortranarray(a) for a in (block.queries, block.keys, block.values)))
+        assert not view.queries[0].flags.c_contiguous
+        assert tiled_pass(view, masks, 1)[0].output.tobytes() == tiled_pass(block, masks, 1)[0].output.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_masks_tile_boundaries_are_exact(self, data):
+        masks, block = draw_row_masks(data)
+        assert_tiling_is_exact(block, masks)
+
+    # tracemalloc peak above the returned arrays, model_dim 64:
+    #   fixed-strided 64x64 forward: 260 MiB (262 with its 2 MiB
+    #     output) with whole-head temporaries, 0.9 MiB (2.9) tiled;
+    #   Doppler 64x64 backward: 15.0 MiB (21 with its three 2 MiB
+    #     gradients) with whole-head temporaries, 1.0 MiB (7.0) tiled.
+    # Each bound is below a quarter of the whole-head figure.
+    @pytest.mark.parametrize(
+        "build,backward,bound_mib",
+        [(build_fixed_strided_masks, False, 8.0), (build_doppler_masks, True, 3.5)],
+        ids=["fixed-forward", "doppler-backward"],
+    )
+    def test_working_memory_stays_tile_sized(self, build, backward, bound_mib):
+        grid = GridSpec(64, 64, 2, 2.0)
+        masks = build(grid)
+        for h in range(grid.heads):
+            masks.row_blocks(h)  # packed outside the measurement
+        block = EmbeddingBlock.random(grid.tokens, 64, grid.heads, seed=1)
+        if backward:
+            d_out = np.random.default_rng(0).standard_normal((grid.tokens, 64))
+            peak = working_peak_mib(lambda: sparse_attention_backward(block, masks, d_out))
+        else:
+            peak = working_peak_mib(lambda: sparse_attention_forward(block, masks))
+        assert peak <= bound_mib
 
 
 class TestDenseOracle:
