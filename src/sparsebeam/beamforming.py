@@ -11,7 +11,12 @@ The sum rate is sum_k log2(1 + SINR_k) over the users, not a mean.
 
 Channels and combiners may carry leading batch axes, (..., antennas,
 users) and (..., users, antennas); every entry of a stack gets exactly
-the result its 2D slice would get on its own.
+the result its 2D slice would get on its own.  The noise power is a
+float, or an array that broadcasts to the stack's leading axes, so that
+one call can score a stack at several noise powers (the sweep passes an
+(S, 1) column for S SNR points); each entry then gets exactly the
+result of a call with its own scalar noise power, and every check of a
+scalar noise power holds for each entry.
 """
 
 from __future__ import annotations
@@ -44,25 +49,38 @@ def _as_channel(channel) -> np.ndarray:
     return h
 
 
-def mmse_combiner(channel_est, noise_power: float) -> np.ndarray:
+def _as_noise(noise_power, stack_shape, message: str, positive: bool = False) -> np.ndarray:
+    """The noise power as a float64 array that broadcasts to `stack_shape`,
+    the leading axes of a stack; raises ValueError with `message` unless
+    every entry is finite and >= 0 (> 0 when `positive`)."""
+    noise = np.asarray(noise_power, dtype=np.float64)
+    if not (((noise > 0) if positive else (noise >= 0)) & (noise < math.inf)).all():  # NaN fails both
+        raise ValueError(message)
+    np.broadcast_to(noise, stack_shape)  # raises ValueError on a shape that does not fit the stack
+    return noise
+
+
+def mmse_combiner(channel_est, noise_power: float | np.ndarray) -> np.ndarray:
     """Regularized pseudo-inverse combiner (Gram + noise_power * I) \\ H^H.
 
     With noise_power == 0 this is exactly the zero-forcing combiner
     (same solve path), which requires at least as many antennas as
-    users and a well-conditioned Gram matrix.  On a stack, the raised
-    `SingularChannelError` marks the offending entries in `.singular`.
+    users and a well-conditioned Gram matrix; with a noise array, the
+    entries whose noise power is 0 are held to that.  On a stack, the
+    raised `SingularChannelError` marks the offending entries in
+    `.singular`.
     """
     h = _as_channel(channel_est)
-    if not (0 <= noise_power < math.inf):
-        raise ValueError("noise power must be finite and >= 0")
+    noise = _as_noise(noise_power, h.shape[:-2], "noise power must be finite and >= 0")
     antennas, users = h.shape[-2:]
     h_herm = h.conj().swapaxes(-1, -2)
-    gram = h_herm @ h + noise_power * np.eye(users)
-    if noise_power == 0:
+    gram = h_herm @ h + noise[..., None, None] * np.eye(users)
+    zero = np.broadcast_to(noise == 0, h.shape[:-2])
+    if zero.any():
         if antennas < users:
-            raise SingularChannelError("zero-forcing needs antennas >= users", singular=np.ones(h.shape[:-2], dtype=bool))
+            raise SingularChannelError("zero-forcing needs antennas >= users", singular=zero.copy())
         cond = np.linalg.cond(gram)
-        singular = ~np.isfinite(cond) | (cond > _GRAM_COND_LIMIT)
+        singular = zero & (~np.isfinite(cond) | (cond > _GRAM_COND_LIMIT))
         if singular.any():
             raise SingularChannelError("channel Gram matrix is too ill-conditioned", singular=singular)
     try:
@@ -93,8 +111,7 @@ def _sinr_parts(w, h, noise_power):
     diag = np.diagonal(coupling, axis1=-2, axis2=-1)
     desired = np.abs(diag) ** 2
     interference = (np.abs(coupling) ** 2).sum(axis=-1) - desired
-    noise = noise_power * (np.abs(w) ** 2).sum(axis=-1)
-    denom = interference + noise
+    denom = interference + np.asarray(noise_power)[..., None] * (np.abs(w) ** 2).sum(axis=-1)
     # a zero filter row with positive noise power carries no signal: 0
     gammas = np.zeros_like(desired)
     np.divide(desired, denom, out=gammas, where=denom > 0)
@@ -102,7 +119,7 @@ def _sinr_parts(w, h, noise_power):
     return coupling, diag, desired, denom, gammas
 
 
-def sinr(combiner, channel, noise_power: float) -> np.ndarray:
+def sinr(combiner, channel, noise_power: float | np.ndarray) -> np.ndarray:
     """Per-user SINR of `combiner` rows against the true `channel`.
 
     gamma_k = |row_k . h_k|^2 / (sum_{i != k} |row_k . h_i|^2
@@ -110,12 +127,11 @@ def sinr(combiner, channel, noise_power: float) -> np.ndarray:
     """
     w = np.asarray(combiner, dtype=np.complex128)
     h = _as_channel(channel)
-    if not (0 <= noise_power < math.inf):
-        raise ValueError("noise power must be finite and >= 0")
+    noise = _as_noise(noise_power, h.shape[:-2], "noise power must be finite and >= 0")
     if w.shape != h.shape[:-2] + (h.shape[-1], h.shape[-2]):
         raise ValueError("combiner must be (users x antennas) matching the channel")
-    _, _, desired, denom, gammas = _sinr_parts(w, h, noise_power)
-    if noise_power == 0 and ((denom == 0) & (desired == 0)).any():
+    _, _, desired, denom, gammas = _sinr_parts(w, h, noise)
+    if ((noise == 0)[..., None] & (denom == 0) & (desired == 0)).any():
         raise ValueError("0/0 SINR: zero filter row with zero noise power")
     return gammas
 
@@ -127,7 +143,7 @@ def _rate(gammas):
     return float(total) if total.ndim == 0 else total
 
 
-def sum_rate(combiner, channel, noise_power: float):
+def sum_rate(combiner, channel, noise_power: float | np.ndarray):
     """Sum rate sum_k log2(1 + sinr_k) in bps/Hz; a float for one
     matrix, one rate per entry for a stack.
 
@@ -175,20 +191,19 @@ def _rate_and_gradient(w, h, noise_power):
 
     h_rows = h.conj().swapaxes(-1, -2)  # row i = conj(h_i)^T
     d_desired = diag[..., :, None] * h_rows
-    d_denom = coupling @ h_rows - d_desired + noise_power * w
+    d_denom = coupling @ h_rows - d_desired + np.asarray(noise_power)[..., None, None] * w
     coeff = 1.0 / (LOG2 * (1.0 + gamma))
     grad = 2.0 * coeff[..., :, None] * (d_desired * denom[..., :, None] - desired[..., :, None] * d_denom) / (denom**2)[..., :, None]
     return rate, grad
 
 
-def sum_rate_gradient(combiner, channel, noise_power: float) -> np.ndarray:
+def sum_rate_gradient(combiner, channel, noise_power: float | np.ndarray) -> np.ndarray:
     """Analytic gradient of `sum_rate` w.r.t. the combiner, packed as
     complex (real part = d/dRe, imaginary part = d/dIm)."""
     w = np.asarray(combiner, dtype=np.complex128)
     h = _as_channel(channel)
-    if not (0 < noise_power < math.inf):
-        raise ValueError("gradient needs a finite noise power > 0")
-    return _rate_and_gradient(w, h, noise_power)[1]
+    noise = _as_noise(noise_power, h.shape[:-2], "gradient needs a finite noise power > 0", positive=True)
+    return _rate_and_gradient(w, h, noise)[1]
 
 
 def finite_difference_gradient(combiner, channel, noise_power) -> np.ndarray:
@@ -245,7 +260,7 @@ class OptimizeResult:
 def optimize_sum_rate(
     channel_est,
     channel_true,
-    noise_power: float,
+    noise_power: float | np.ndarray,
     config: OptimizerConfig | None = None,
 ) -> OptimizeResult:
     """Directly maximize the sum rate over the combiner, for one channel
@@ -270,22 +285,21 @@ def optimize_sum_rate(
     antennas, users = h_true.shape[-2:]
     if antennas > 16 or users > 4:
         raise ValueError("optimizer is desk-scale: antennas <= 16, users <= 4")
-    if not (0 < noise_power < math.inf):
-        raise ValueError("optimization needs a finite noise power > 0")
-    fast = power_project(mmse_combiner(h_est, noise_power))
+    noise = _as_noise(noise_power, h_true.shape[:-2], "optimization needs a finite noise power > 0", positive=True)
+    fast = power_project(mmse_combiner(h_est, noise))
     slow = fast
 
     def rate_and_gradient(w):
         if cfg.gradient == "analytic":
-            return _rate_and_gradient(w, h_true, noise_power)
-        return sum_rate(w, h_true, noise_power), None  # the gradient is taken when stepping
+            return _rate_and_gradient(w, h_true, noise)
+        return sum_rate(w, h_true, noise), None  # the gradient is taken when stepping
 
     best_rate, grad = rate_and_gradient(fast)
     best_w = fast
     trace = [best_rate]
     for step in range(1, cfg.iterations + 1):
         if grad is None:
-            grad = finite_difference_gradient(fast, h_true, noise_power)
+            grad = finite_difference_gradient(fast, h_true, noise)
         fast = power_project(fast + (_STEP_SIZE / users) * grad)
         if step % _LOOKAHEAD_EVERY == 0:
             slow = lookahead_update(slow, fast, _LOOKAHEAD_COEFF)

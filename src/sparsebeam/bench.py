@@ -12,8 +12,9 @@ regime the sweep is probing.  Everything is seeded and byte-stable.
 Each velocity's realizations are drawn once and scored at every SNR
 point, since the SNR only scales the noise (common random numbers):
 the fading of every realization is computed only at those two points,
-and at each SNR point each method builds and scores all of the
-velocity's combiners in one call.
+and each method builds and scores all of the velocity's combiners at
+all SNR points in one call (a few for a large stack), on an
+(SNR points, realizations) stack with one noise power per SNR point.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ import numpy as np
 from . import _buildinfo, beamforming
 from .beamforming import (
     OptimizerConfig,
+    _rate,
     mmse_combiner,
     optimize_sum_rate,  # unused here; perfbench's span tracer wraps bench.optimize_sum_rate
     power_project,
     sinr,
-    sum_rate,
+    sum_rate,  # unused here; perfbench's span tracer wraps bench.sum_rate
     zf_combiner,
 )
 from .channel import DopplerConfig, OfdmConfig, _generate_true, add_estimation_error
@@ -42,6 +44,11 @@ from .errors import SingularChannelError, _check_count
 KNOWN_METHODS = ("zf", "mmse", "opt")
 
 _RESAMPLE_BUDGET = 1e-3  # singular draws must stay under 0.1% of attempts
+# Channel values (draws x antennas x users x SNR points) per stacked
+# scoring pass: the optimizer's time per entry is lowest near 1024
+# entries of 8x2 and grows by a quarter past 2000, as its temporaries
+# outgrow the cache.
+_PASS_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -113,14 +120,25 @@ class SweepResult:
         }
 
 
-def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> np.ndarray:
+def _stacked(array, sigma2) -> np.ndarray:
+    """`array`, one matrix or a stack, broadcast over its leading axes
+    against the noise power `sigma2`, a float or an array."""
+    lead = np.broadcast_shapes(np.shape(sigma2), np.shape(array)[:-2])
+    return np.broadcast_to(array, lead + np.shape(array)[-2:])
+
+
+def combiner(method: str, estimate, target, sigma2, optimizer: OptimizerConfig) -> np.ndarray:
     """Combiner of `method` built from the channel `estimate`, one matrix
-    or a stack (..., antennas, users); `opt` also climbs the sum rate
-    against `target`.  The callees resolve through this module's
-    globals, so wrapping them here (perfbench's tracer does) covers both
-    the sweep and the CLI; the optimizer is the exception."""
+    or a stack (..., antennas, users), at the noise power `sigma2`, a
+    float or an array that broadcasts against the stack's leading axes;
+    `opt` also climbs the sum rate against `target`.  ZF ignores the
+    noise, so it is built once per channel as given; the other methods
+    cover the broadcast stack.  The callees resolve through this
+    module's globals, so wrapping them here (perfbench's tracer does)
+    covers both the sweep and the CLI; the optimizer is the exception."""
     if method == "zf":
         return power_project(zf_combiner(estimate))
+    estimate, target = _stacked(estimate, sigma2), _stacked(target, sigma2)
     if method == "mmse":
         return power_project(mmse_combiner(estimate, sigma2))
     if method == "opt":
@@ -129,19 +147,23 @@ def combiner(method: str, estimate, target, sigma2: float, optimizer: OptimizerC
     raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
 
 
-def score(methods, estimate, target, sigma2: float, optimizer: OptimizerConfig) -> dict:
+def score(methods, estimate, target, sigma2, optimizer: OptimizerConfig) -> dict:
     """{method: (rates, sinrs)} of each method's combiner built from
-    `estimate` and scored against `target`, one matrix or a stack; the
-    one scoring path of the sweep and the `beamform` command.  A
-    singular entry raises `SingularChannelError` with `.singular`, its
-    message naming the method."""
+    `estimate` as in `combiner` and scored against `target` over the
+    stack broadcast against `sigma2`: R channels against an (S, 1)
+    column of noise powers give (S, R) scores in one pass.  The one
+    scoring path of the sweep and the `beamform` command.  A singular
+    entry raises `SingularChannelError` with `.singular` over that
+    stack, its message naming the method."""
+    target = _stacked(target, sigma2)
     scores = {}
     for method in methods:
         try:
             w = combiner(method, estimate, target, sigma2, optimizer)
         except SingularChannelError as exc:
-            raise SingularChannelError(f"{exc}: {method}", exc.singular) from exc
-        scores[method] = sum_rate(w, target, sigma2), sinr(w, target, sigma2)
+            raise SingularChannelError(f"{exc}: {method}", np.broadcast_to(exc.singular, target.shape[:-2])) from exc
+        gammas = sinr(_stacked(w, sigma2), target, sigma2)
+        scores[method] = _rate(gammas), gammas
     return scores
 
 
@@ -171,13 +193,17 @@ def _velocity_cells(config: SweepConfig, v_idx: int, velocity_range, progress=No
 
     Realization r at attempt a draws from the derived seed (seed, v_idx,
     0, r, a), the seed the first SNR point used when each point drew its
-    own channels, and every SNR point scores those same draws.  At each
-    SNR point every method runs once on the stack of the draws; an entry
-    that is singular for any method at any SNR point is redrawn at the
-    next attempt and scored again at every point, the others keep their
-    results.  A redraw that would take the resamples above 0.1% of the
-    velocity's draws raises instead.  `progress(velocity_range, snr_db)`
-    is called after each SNR point's first scoring pass.
+    own channels, and every SNR point scores those same draws.  Each
+    attempt scores its draws at every SNR point in one stacked pass:
+    `score` gets the draws and the S noise powers as an (S, 1) column,
+    so each method runs once.  A stack above `_PASS_VALUES` channel
+    values takes as few passes as keep each pass within it, a whole
+    number of SNR points each.  An entry that is singular for any method
+    at any SNR point is redrawn at the next attempt and scored again at
+    every point, the others keep their results.  A redraw that would
+    take the resamples above 0.1% of the velocity's draws raises
+    instead.  `progress(velocity_range, snr_db)` is called for each SNR
+    point in order, right after the first attempt's pass that scored it.
     """
     ofdm = OfdmConfig()
     doppler = DopplerConfig(velocity_mps=velocity_range)
@@ -186,6 +212,7 @@ def _velocity_cells(config: SweepConfig, v_idx: int, velocity_range, progress=No
     estimate = np.empty(shape, dtype=np.complex128)
     target = np.empty(shape, dtype=np.complex128)
     snrs = len(config.snr_db_list)
+    sigma2 = np.array([_noise_power(snr_db) for snr_db in config.snr_db_list])[:, None]
     rates = {m: np.empty((snrs, config.realizations)) for m in config.methods}
     sinrs = {m: np.empty((snrs, config.realizations, config.users)) for m in config.methods}
     todo = np.arange(config.realizations)
@@ -197,21 +224,23 @@ def _velocity_cells(config: SweepConfig, v_idx: int, velocity_range, progress=No
             pilot, target[r] = _generate_true(ofdm, doppler, config.rx_antennas, config.users, rng, *points)[:, 0]
             estimate[r] = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
         ok = np.ones(todo.size, dtype=bool)
-        for s_idx, snr_db in enumerate(config.snr_db_list):
-            sigma2 = _noise_power(snr_db)
+        group = max(1, _PASS_VALUES // (todo.size * config.rx_antennas * config.users))
+        for first in range(0, snrs, group):
+            cols = slice(first, first + group)
             while ok.any():
                 live = todo[ok]
                 try:
-                    scores = score(config.methods, estimate[live], target[live], sigma2, config.optimizer)
+                    scores = score(config.methods, estimate[live], target[live], sigma2[cols], config.optimizer)
                 except SingularChannelError as exc:
-                    ok[ok] = ~exc.singular
+                    ok[ok] = ~exc.singular.any(axis=0)
                     continue
                 for method, (method_rates, method_sinrs) in scores.items():
-                    rates[method][s_idx, live] = method_rates
-                    sinrs[method][s_idx, live] = method_sinrs
+                    rates[method][cols, live] = method_rates
+                    sinrs[method][cols, live] = method_sinrs
                 break
             if attempt == 0 and progress is not None:
-                progress(velocity_range, snr_db)
+                for snr_db in config.snr_db_list[cols]:
+                    progress(velocity_range, snr_db)
         todo = todo[~ok]
         if not todo.size:
             return rates, sinrs, resampled
@@ -229,8 +258,11 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
     draws.  Dropping SNR points therefore leaves the others unchanged,
     and the first SNR point, like every one-SNR sweep, gives the bytes
     of sparsebeam 0.2.0, where each SNR point drew its own channels.
-    `progress(velocity_range, snr_db)` is called once per cell, right
-    after its scoring pass.
+    Each method scores a velocity's draws at all SNR points in one
+    stacked pass (or a few, for a large stack), exactly as it would
+    score them one SNR point at a time.  `progress(velocity_range,
+    snr_db)` is called once per cell, in SNR order, right after the pass
+    that scored it, so a pass's work lands before its first cell's call.
     """
     points: list[SweepPoint] = []
     for v_idx, velocity_range in enumerate(config.velocity_ranges):

@@ -180,7 +180,7 @@ def test_c5_attention_kernel():
         sparse = sparse_attention_forward(block, masks)
         dense = dense_masked_oracle(block, masks)
         worst = max(worst, float(np.abs(sparse.output - dense.output).max()))
-    assert worst <= 1e-6
+    assert worst <= 1e-12
 
     gradient_battery = (
         [((4, 6, 2, 2.0), 8, s) for s in range(7)]

@@ -75,7 +75,7 @@ class TestForward:
             _, masks, block = make_case(spec, seed=seed)
             sparse = sparse_attention_forward(block, masks)
             dense = dense_masked_oracle(block, masks)
-            assert np.abs(sparse.output - dense.output).max() <= 1e-6
+            assert np.abs(sparse.output - dense.output).max() <= 1e-12
             assert sorted(sparse.empty_rows) == sorted(dense.empty_rows)
 
     def test_empty_row_zero_output_and_warning(self):

@@ -243,6 +243,100 @@ class TestNoisePower:
                 call()
 
 
+class TestNoiseArrays:
+    """A noise array broadcasts to a stack's leading axes: every entry gets
+    exactly its own scalar call, and every check of a scalar noise power
+    holds for each entry on its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        users=st.integers(1, 4),
+        snrs=st.integers(1, 3),
+        realizations=st.integers(1, 3),
+        per_entry=st.booleans(),
+        est_error=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_equal_their_scalar_calls(self, data, users, snrs, realizations, per_entry, est_error, seed):
+        # noise of shape (S, 1) or (S, R) against an (S, R) stack
+        antennas = data.draw(st.integers(users, 8))
+        columns = realizations if per_entry else 1
+        powers = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=snrs * columns, max_size=snrs * columns))
+        noise = np.array(powers).reshape(snrs, columns)
+        h = np.broadcast_to(rayleigh_stack(realizations, antennas, users, seed), (snrs, realizations, antennas, users))
+        est = h + est_error * rayleigh_stack(realizations, antennas, users, seed + 1)
+        cfg = OptimizerConfig(iterations=15)
+        w = power_project(mmse_combiner(est, noise))
+        rates, gammas, grad = sum_rate(w, h, noise), sinr(w, h, noise), sum_rate_gradient(w, h, noise)
+        opt = optimize_sum_rate(est, h, noise, cfg)
+        for s in range(snrs):
+            for r in range(realizations):
+                sigma2 = float(noise[s, r if per_entry else 0])
+                assert np.array_equal(w[s, r], power_project(mmse_combiner(est[s, r], sigma2)))
+                assert rates[s, r] == sum_rate(w[s, r], h[s, r], sigma2)
+                assert np.array_equal(gammas[s, r], sinr(w[s, r], h[s, r], sigma2))
+                assert np.array_equal(grad[s, r], sum_rate_gradient(w[s, r], h[s, r], sigma2))
+                one = optimize_sum_rate(est[s, r], h[s, r], sigma2, cfg)
+                assert np.array_equal(opt.combiner[s, r], one.combiner)
+                assert np.array_equal(opt.trace[s, r], one.trace)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, float("inf"), -float("inf")])
+    def test_bad_entry_rejected(self, bad):
+        h = np.broadcast_to(rayleigh_stack(3, 4, 2, 0), (2, 3, 4, 2))
+        w = power_project(zf_combiner(h))
+        noise = np.array([[0.1], [bad]])
+        calls = (
+            lambda: mmse_combiner(h, noise),
+            lambda: sinr(w, h, noise),
+            lambda: sum_rate(w, h, noise),
+            lambda: sum_rate_gradient(w, h, noise),
+            lambda: optimize_sum_rate(h, h, noise, OptimizerConfig(iterations=1)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_zero_entry_rejected_where_the_noise_must_be_positive(self):
+        h = np.broadcast_to(rayleigh_stack(3, 4, 2, 0), (2, 3, 4, 2))
+        w = power_project(zf_combiner(h))
+        noise = np.array([[0.1], [0.0]])
+        with pytest.raises(ValueError, match="> 0"):
+            sum_rate_gradient(w, h, noise)
+        with pytest.raises(ValueError, match="> 0"):
+            optimize_sum_rate(h, h, noise, OptimizerConfig(iterations=1))
+
+    def test_zero_entry_is_zero_forcing_alone(self):
+        h = rayleigh_stack(3, 4, 2, 2)
+        h[1] = np.ones((4, 2))  # rank one: singular for ZF, not for MMSE
+        stack = np.broadcast_to(h, (2, 3, 4, 2))
+        with pytest.raises(SingularChannelError, match="ill-conditioned") as info:
+            mmse_combiner(stack, np.array([[0.1], [0.0]]))
+        assert info.value.singular.tolist() == [[False, False, False], [False, True, False]]
+        w = mmse_combiner(stack, np.array([[0.1, 0.1, 0.0], [0.0, 0.1, 0.1]]))
+        assert np.array_equal(w[0, 2], zf_combiner(h[2])) and np.array_equal(w[1, 0], zf_combiner(h[0]))
+        assert np.array_equal(w[1, 1], mmse_combiner(h[1], 0.1))
+        fat = np.broadcast_to(rayleigh_stack(3, 2, 4, 0), (2, 3, 2, 4))
+        with pytest.raises(SingularChannelError, match="antennas >= users") as info:
+            mmse_combiner(fat, np.array([[0.1], [0.0]]))
+        assert info.value.singular.tolist() == [[False] * 3, [True] * 3]
+
+    def test_zero_over_zero_checked_per_entry(self):
+        h = np.broadcast_to(rayleigh_stack(2, 4, 2, 0), (2, 2, 4, 2))
+        w = power_project(zf_combiner(h))
+        noise = np.array([[0.1], [0.0]])
+        w[0, 1, 0] = 0.0  # a zero filter row at positive noise power carries no signal
+        assert sinr(w, h, noise)[0, 1, 0] == 0.0
+        w[1, 1, 0] = 0.0  # and at zero noise power it is 0/0
+        with pytest.raises(ValueError, match="0/0"):
+            sinr(w, h, noise)
+
+    def test_noise_must_broadcast_to_the_stack(self):
+        h = rayleigh_stack(2, 4, 2, 0)
+        with pytest.raises(ValueError):
+            mmse_combiner(h, np.full((3, 1), 0.1))
+
+
 class TestOptimizer:
     def test_single_user_hits_matched_filter_bound(self):
         sigma2 = 0.1

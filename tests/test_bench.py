@@ -13,6 +13,7 @@ from reference import sweep_points_reference
 from sparsebeam import (
     OptimizerConfig,
     SweepConfig,
+    beamforming,
     bench,
     export_report,
     run_sweep,
@@ -276,6 +277,96 @@ class TestCommonDraws:
         assert events == [(r, 0) for r in range(1000)] + [0.0, 10.0, (3, 1)]
         assert [p.resampled for p in points] == [1, 1]
         assert _as_dicts(points) == _as_dicts(sweep_points_reference(config))
+
+
+class TestStackedPass:
+    """Each velocity attempt scores every SNR point in one stacked pass,
+    or in a few when the stack is above `bench._PASS_VALUES`."""
+
+    @staticmethod
+    def _count_optimizer_calls(monkeypatch):
+        original = beamforming.optimize_sum_rate
+        calls = []
+
+        def counted(channel_est, channel_true, noise_power, config):
+            calls.append((channel_est.shape, np.shape(noise_power)))
+            return original(channel_est, channel_true, noise_power, config)
+
+        monkeypatch.setattr(beamforming, "optimize_sum_rate", counted)
+        return calls
+
+    def test_one_optimizer_call_per_velocity_attempt(self, monkeypatch):
+        # realization 3's first draw at the first velocity loses its one
+        # user, so ZF is singular and that velocity takes a second attempt;
+        # `opt` comes after `zf`, so it is reached once per attempt, on
+        # every SNR point at once
+        original = bench._generate_true
+
+        def lose_user_zero(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if tuple(args[4].bit_generator.seed_seq.entropy[-4:]) == (0, 0, 3, 0):
+                out[..., 0] = 0.0
+            return out
+
+        monkeypatch.setattr(bench, "_generate_true", lose_user_zero)
+        calls = self._count_optimizer_calls(monkeypatch)
+        config = SweepConfig(
+            snr_db_list=(0.0, 10.0, 20.0),
+            velocity_ranges=((0.0, 10.0), (30.0, 40.0)),
+            rx_antennas=2,
+            users=1,
+            realizations=1000,
+            methods=("zf", "opt"),
+            optimizer=OptimizerConfig(iterations=1),
+        )
+        points = run_sweep(config, timestamp="t").points
+        assert [p.resampled for p in points] == [1] * 6 + [0] * 6
+        assert calls == [((3, 999, 2, 1), (3, 1)), ((3, 1, 2, 1), (3, 1)), ((3, 1000, 2, 1), (3, 1))]
+
+    def test_large_stack_splits_by_snr_points_with_the_same_bytes(self, monkeypatch):
+        # 4 draws of 8x2 hold 64 channel values per SNR point, so a budget
+        # of 128 scores the 3 SNR points in passes of 2 and 1
+        config = SweepConfig(snr_db_list=(-5.0, 5.0, 15.0), realizations=4, est_snr_db=10.0, seed=5,
+                             optimizer=OptimizerConfig(iterations=5))
+        whole = _as_dicts(run_sweep(config, timestamp="t").points)
+        calls = self._count_optimizer_calls(monkeypatch)
+        monkeypatch.setattr(bench, "_PASS_VALUES", 128)
+        events = []
+        split = run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((len(calls), snr)))
+        assert _as_dicts(split.points) == whole
+        assert calls == [((2, 4, 8, 2), (2, 1)), ((1, 4, 8, 2), (1, 1))] * 2
+        assert events == [(1, -5.0), (1, 5.0), (2, 15.0), (3, -5.0), (3, 5.0), (4, 15.0)]
+
+
+class TestZeroVelocityAnchors:
+    """Absolute rates against closed forms.  At zero velocity the pilot is
+    the target, so with a perfect estimate ZF's per-user SINR is
+    rho * Gamma(M - N + 1) and single-user MMSE (MRC) gives rho * Gamma(M),
+    for SNR rho and unit-power Rayleigh fading (nearly: each entry sums 32
+    sinusoids, so E|h|^4 is 2 - 1/32, not 2).  The mean sum rate is then
+    N * E[log2(1 + rho X)] and the per-user mean SINR rho * E[X], both by
+    quadrature over the gamma density.  Each cell is gated at 3 standard
+    errors: the sweep's own for the rate, the exact rho * sqrt(shape / R)
+    for the SINR.  The cells of one velocity share their draws, so the
+    three SNR points of a sweep are not independent checks.  The
+    realization count (500, the library default), seed (0) and budget
+    (about 1 s per sweep) were fixed before any result was seen."""
+
+    @pytest.mark.parametrize("users, methods", [(1, ("zf", "mmse")), (2, ("zf",)), (4, ("zf",))])
+    def test_rates_match_the_gamma_closed_forms(self, users, methods):
+        from scipy import integrate, stats
+
+        config = SweepConfig(snr_db_list=(-5.0, 5.0, 20.0), velocity_ranges=((0.0, 0.0),), users=users,
+                             realizations=500, methods=methods, seed=0)
+        shape = config.rx_antennas - users + 1  # MRC's Gamma(M) is ZF's at one user
+        for p in run_sweep(config, timestamp="t").points:
+            rho = 10.0 ** (p.snr_db / 10.0)
+            rate = users * integrate.quad(lambda x: np.log2(1.0 + rho * x) * stats.gamma.pdf(x, shape), 0, np.inf)[0]
+            mean_sinr = rho * integrate.quad(lambda x: x * stats.gamma.pdf(x, shape), 0, np.inf)[0]
+            assert abs(p.mean_sum_rate - rate) <= 3.0 * p.stderr, (p.method, p.snr_db, p.mean_sum_rate, rate)
+            sinr_stderr = rho * math.sqrt(shape / p.realizations)
+            for k, got in enumerate(p.per_ue_mean_sinr):
+                assert abs(got - mean_sinr) <= 3.0 * sinr_stderr, (p.method, p.snr_db, k, got, mean_sinr)
 
 
 class TestExportReport:

@@ -27,8 +27,12 @@ def test_snapshot_is_deterministic(tmp_path):
         runs += [f"masks-doppler-{tag}", f"graph-{tag}"]
         if heads == 2:
             runs += [f"masks-fixed-{tag}", f"masks-fixed-causal-{tag}"]
-    files = [f"{run}.json" for run in runs] + ["histogram.csv", "channel.bin", "beamform.csv", "sweep.csv", "sweep.json"]
-    runs += ["masks-printed", "histogram", "histogram-printed", "channel", "beamform", "beamform-printed", "sweep"]
+    files = [f"{run}.json" for run in runs] + ["histogram.csv", "channel.bin", "beamform.csv"]
+    sweeps = ["sweep", "sweep-default"]
+    files += [f"{sweep}.{ext}" for sweep in sweeps for ext in ("csv", "json")]
+    runs += ["masks-printed", "histogram", "histogram-printed", "channel", "beamform", "beamform-printed", *sweeps]
     assert sorted(first) == sorted(files + [f"{run}.stdout" for run in runs])
     assert all(first[f"{run}.stdout"].startswith(b"exit 0\n") for run in runs)
-    assert b'"build"' not in first["sweep.json"] and b'"timestamp"' not in first["sweep.json"]
+    for sweep in sweeps:
+        assert b'"build"' not in first[f"{sweep}.json"] and b'"timestamp"' not in first[f"{sweep}.json"]
+    assert first["sweep-default.csv"].count(b"\n") == 1 + 7 * 2 * 3

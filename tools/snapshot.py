@@ -15,7 +15,10 @@ it writes:
 - a `channel` file of the default slot, and the `beamform` CSV of zf,
   mmse and opt on it;
 - a small sweep's CSV, and its JSON without the build hash and the
-  timestamp, which change with every build and run.
+  timestamp, which change with every build and run;
+- the same for a sweep on the default axes (7 SNR points, both velocity
+  ranges, zf, mmse and opt at the default 100 optimizer steps) at 3
+  realizations and a finite estimation SNR.
 
 The default grid's masks, the histogram and the beamform CSV are also
 printed to stdout.  Two trees give the same outputs when their
@@ -93,9 +96,16 @@ def _commands() -> None:
                 "--est-snr-db", "15", "--seed", "2"]
     _run("beamform", [*beamform, "--csv", "beamform.csv"])
     _run("beamform-printed", beamform)
-    _run("sweep", ["sweep", "--snr-db=-5,20", "--realizations", "6", "--est-snr-db", "15", "--opt-iterations", "20",
-                   "--seed", "7", "--out", "sweep.csv", "--json", "sweep.json"])
-    sweep_json = Path("sweep.json")
+    _sweep("sweep", ["--snr-db=-5,20", "--realizations", "6", "--est-snr-db", "15", "--opt-iterations", "20",
+                     "--seed", "7"])
+    _sweep("sweep-default", ["--realizations", "3", "--est-snr-db", "10", "--seed", "4"])
+
+
+def _sweep(name: str, flags: list) -> None:
+    """Run one sweep into `<name>.csv` and `<name>.json`, and drop the
+    JSON's build hash and timestamp."""
+    _run(name, ["sweep", *flags, "--out", f"{name}.csv", "--json", f"{name}.json"])
+    sweep_json = Path(f"{name}.json")
     payload = json.loads(sweep_json.read_text(encoding="utf-8"))
     del payload["metadata"]["build"], payload["metadata"]["timestamp"]
     sweep_json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
