@@ -108,9 +108,10 @@ def _sinr_parts(w, h, noise_power):
     """Coupling W @ H, desired power, SINR denominator and per-user SINR
     over the last axis; the one SINR formula `sinr` and the optimizer share."""
     coupling = w @ h
+    power = np.abs(coupling) ** 2
     diag = np.diagonal(coupling, axis1=-2, axis2=-1)
-    desired = np.abs(diag) ** 2
-    interference = (np.abs(coupling) ** 2).sum(axis=-1) - desired
+    desired = np.diagonal(power, axis1=-2, axis2=-1)
+    interference = power.sum(axis=-1) - desired
     denom = interference + np.asarray(noise_power)[..., None] * (np.abs(w) ** 2).sum(axis=-1)
     # a zero filter row with positive noise power carries no signal: 0
     gammas = np.zeros_like(desired)
@@ -182,14 +183,17 @@ def lookahead_update(slow, fast, coeff: float) -> np.ndarray:
     return s + coeff * (f - s)
 
 
-def _rate_and_gradient(w, h, noise_power):
+def _rate_and_gradient(w, h, noise_power, h_rows=None):
     """Sum rate plus its gradient packed as a complex array G with
     G = dJ/dRe(W) + 1j * dJ/dIm(W), so W + lr * G is a real-space
-    gradient-ascent step.  The rate is exactly `sum_rate`'s."""
+    gradient-ascent step.  The rate is exactly `sum_rate`'s.  `h_rows`
+    is `h.conj().swapaxes(-1, -2)` (row i = conj(h_i)^T), computed here
+    unless a caller that reuses `h` passes it."""
     coupling, diag, desired, denom, gamma = _sinr_parts(w, h, noise_power)
     rate = _rate(gamma)
 
-    h_rows = h.conj().swapaxes(-1, -2)  # row i = conj(h_i)^T
+    if h_rows is None:
+        h_rows = h.conj().swapaxes(-1, -2)
     d_desired = diag[..., :, None] * h_rows
     d_denom = coupling @ h_rows - d_desired + np.asarray(noise_power)[..., None, None] * w
     coeff = 1.0 / (LOG2 * (1.0 + gamma))
@@ -288,10 +292,11 @@ def optimize_sum_rate(
     noise = _as_noise(noise_power, h_true.shape[:-2], "optimization needs a finite noise power > 0", positive=True)
     fast = power_project(mmse_combiner(h_est, noise))
     slow = fast
+    h_rows = h_true.conj().swapaxes(-1, -2)
 
     def rate_and_gradient(w):
         if cfg.gradient == "analytic":
-            return _rate_and_gradient(w, h_true, noise)
+            return _rate_and_gradient(w, h_true, noise, h_rows)
         return sum_rate(w, h_true, noise), None  # the gradient is taken when stepping
 
     best_rate, grad = rate_and_gradient(fast)

@@ -12,9 +12,11 @@ regime the sweep is probing.  Everything is seeded and byte-stable.
 Each velocity's realizations are drawn once and scored at every SNR
 point, since the SNR only scales the noise (common random numbers):
 the fading of every realization is computed only at those two points,
-and each method builds and scores all of the velocity's combiners at
-all SNR points in one call (a few for a large stack), on an
-(SNR points, realizations) stack with one noise power per SNR point.
+and each method builds and scores the combiners of as many consecutive
+velocities as fit one pass, at all SNR points, in one call, on an
+(SNR points, velocities x realizations) stack with one noise power per
+SNR point; a velocity too large for that takes a few calls of whole
+SNR points.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ KNOWN_METHODS = ("zf", "mmse", "opt")
 
 _RESAMPLE_BUDGET = 1e-3  # singular draws must stay under 0.1% of attempts
 # Channel values (draws x antennas x users x SNR points) per stacked
-# scoring pass: the optimizer's time per entry is lowest near 1024
-# entries of 8x2 and grows by a quarter past 2000, as its temporaries
-# outgrow the cache.
+# scoring pass: the optimizer's time per entry of 8x2 is about 133 us
+# at 500-1000 entries and 160-173 us at 2000-3500, as its temporaries
+# outgrow the cache, so the default 500-realization sweep runs two SNR
+# points per pass; at 8 realizations both velocities fit one pass.
 _PASS_VALUES = 16384
 
 
@@ -73,6 +76,15 @@ class SweepConfig:
             raise ValueError("SNR points must be finite")
         for snr in self.snr_db_list:
             _noise_power(snr)
+        for velocity_range in self.velocity_ranges:
+            try:
+                if np.shape(velocity_range) != (2,):
+                    raise ValueError("not a (lo, hi) pair")
+                DopplerConfig(velocity_mps=velocity_range)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"velocity_ranges: {velocity_range!r}: {exc}") from None
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise ValueError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
         for name in ("realizations", "rx_antennas", "users"):
             _check_count(name, getattr(self, name), 1)
         if not (math.isfinite(self.est_snr_db) or self.est_snr_db == math.inf):
@@ -187,42 +199,57 @@ def pilot_and_target(symbols: int, subcarriers: int) -> tuple:
     return (0, symbols - 1), (subcarriers // 2,)
 
 
-def _velocity_cells(config: SweepConfig, v_idx: int, velocity_range, progress=None):
-    """Rates (S, R) and SINRs (S, R, users) per method for one velocity
-    over the S SNR points, plus the number of resampled draws.
+def _velocity_packs(config: SweepConfig) -> list[range]:
+    """Consecutive velocity indices whose draws share their scoring
+    passes: as many velocities as fit `_PASS_VALUES` at every SNR point,
+    or one alone when its SNR points do not fit together."""
+    per_velocity = len(config.snr_db_list) * config.realizations * config.rx_antennas * config.users
+    size = max(1, _PASS_VALUES // per_velocity)
+    count = len(config.velocity_ranges)
+    return [range(first, min(first + size, count)) for first in range(0, count, size)]
 
-    Realization r at attempt a draws from the derived seed (seed, v_idx,
-    0, r, a), the seed the first SNR point used when each point drew its
-    own channels, and every SNR point scores those same draws.  Each
-    attempt scores its draws at every SNR point in one stacked pass:
-    `score` gets the draws and the S noise powers as an (S, 1) column,
-    so each method runs once.  A stack above `_PASS_VALUES` channel
-    values takes as few passes as keep each pass within it, a whole
-    number of SNR points each.  An entry that is singular for any method
-    at any SNR point is redrawn at the next attempt and scored again at
-    every point, the others keep their results.  A redraw that would
-    take the resamples above 0.1% of the velocity's draws raises
-    instead.  `progress(velocity_range, snr_db)` is called for each SNR
-    point in order, right after the first attempt's pass that scored it.
+
+def _velocity_cells(config: SweepConfig, velocities: range, progress=None):
+    """Rates (S, V x R) and SINRs (S, V x R, users) per method for the
+    V velocities of one pack over the S SNR points, velocity-major, plus
+    each velocity's number of resampled draws.
+
+    Realization r of velocity v at attempt a draws from the derived
+    seed (seed, v, 0, r, a), the seed the first SNR point used when each
+    point drew its own channels, and every SNR point scores those same
+    draws.  Each attempt scores the pack's draws at every SNR point in
+    one stacked pass: `score` gets the draws and the S noise powers as
+    an (S, 1) column, so each method runs once.  A stack above
+    `_PASS_VALUES` channel values takes as few passes as keep each pass
+    within it, a whole number of SNR points each.  An entry that is
+    singular for any method at any SNR point is redrawn at the next
+    attempt and scored again at every point, the others keep their
+    results.  A redraw that would take a velocity's resamples above
+    0.1% of its draws raises instead.  `progress(velocity_range,
+    snr_db)` is called for each cell, velocity-major and in SNR order,
+    right after the first attempt's pass that scored it.
     """
     ofdm = OfdmConfig()
-    doppler = DopplerConfig(velocity_mps=velocity_range)
+    ranges = [config.velocity_ranges[v] for v in velocities]
+    dopplers = [DopplerConfig(velocity_mps=velocity_range) for velocity_range in ranges]
     points = pilot_and_target(ofdm.symbols, ofdm.subcarriers)
-    shape = (config.realizations, config.rx_antennas, config.users)
+    draws = config.realizations
+    shape = (len(velocities) * draws, config.rx_antennas, config.users)
     estimate = np.empty(shape, dtype=np.complex128)
     target = np.empty(shape, dtype=np.complex128)
     snrs = len(config.snr_db_list)
     sigma2 = np.array([_noise_power(snr_db) for snr_db in config.snr_db_list])[:, None]
-    rates = {m: np.empty((snrs, config.realizations)) for m in config.methods}
-    sinrs = {m: np.empty((snrs, config.realizations, config.users)) for m in config.methods}
-    todo = np.arange(config.realizations)
-    resampled = 0
+    rates = {m: np.empty((snrs, shape[0])) for m in config.methods}
+    sinrs = {m: np.empty((snrs, shape[0], config.users)) for m in config.methods}
+    todo = np.arange(shape[0])
+    resampled = np.zeros(len(velocities), dtype=np.int64)
     for attempt in itertools.count():
-        for r in todo:
-            draw_seed = (config.seed, v_idx, 0, int(r), attempt)
+        for entry in todo:
+            j, r = divmod(int(entry), draws)
+            draw_seed = (config.seed, velocities[j], 0, r, attempt)
             rng = np.random.default_rng(draw_seed)
-            pilot, target[r] = _generate_true(ofdm, doppler, config.rx_antennas, config.users, rng, *points)[:, 0]
-            estimate[r] = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
+            pilot, target[entry] = _generate_true(ofdm, dopplers[j], config.rx_antennas, config.users, rng, *points)[:, 0]
+            estimate[entry] = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
         ok = np.ones(todo.size, dtype=bool)
         group = max(1, _PASS_VALUES // (todo.size * config.rx_antennas * config.users))
         for first in range(0, snrs, group):
@@ -239,14 +266,16 @@ def _velocity_cells(config: SweepConfig, v_idx: int, velocity_range, progress=No
                     sinrs[method][cols, live] = method_sinrs
                 break
             if attempt == 0 and progress is not None:
-                for snr_db in config.snr_db_list[cols]:
-                    progress(velocity_range, snr_db)
+                for velocity_range in ranges:
+                    for snr_db in config.snr_db_list[cols]:
+                        progress(velocity_range, snr_db)
         todo = todo[~ok]
         if not todo.size:
             return rates, sinrs, resampled
-        resampled += todo.size
-        if resampled > _RESAMPLE_BUDGET * (config.realizations + resampled):
-            raise RuntimeError(f"singular-channel resample rate above 0.1%: {resampled} resamples")
+        resampled += np.bincount(todo // draws, minlength=len(velocities))
+        for count in resampled:
+            if count > _RESAMPLE_BUDGET * (draws + count):
+                raise RuntimeError(f"singular-channel resample rate above 0.1%: {count} resamples")
 
 
 def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) -> SweepResult:
@@ -258,32 +287,38 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
     draws.  Dropping SNR points therefore leaves the others unchanged,
     and the first SNR point, like every one-SNR sweep, gives the bytes
     of sparsebeam 0.2.0, where each SNR point drew its own channels.
-    Each method scores a velocity's draws at all SNR points in one
-    stacked pass (or a few, for a large stack), exactly as it would
-    score them one SNR point at a time.  `progress(velocity_range,
-    snr_db)` is called once per cell, in SNR order, right after the pass
-    that scored it, so a pass's work lands before its first cell's call.
+    Each method scores the draws of as many consecutive velocities as
+    fit `_PASS_VALUES` at all SNR points in one stacked pass, and a
+    velocity whose SNR points alone do not fit in a few passes of whole
+    SNR points, exactly as it would score them one velocity and one
+    SNR point at a time.  Redraws and their 0.1% budget stay per
+    velocity.  `progress(velocity_range, snr_db)` is called once per
+    cell, velocity-major and in SNR order, the calls of a pass right
+    after it, so a pass's work lands before its first cell's call.
     """
     points: list[SweepPoint] = []
-    for v_idx, velocity_range in enumerate(config.velocity_ranges):
-        cell_rates, cell_sinrs, resampled = _velocity_cells(config, v_idx, velocity_range, progress)
-        for s_idx, snr_db in enumerate(config.snr_db_list):
-            for method in config.methods:
-                rates, sinrs = cell_rates[method][s_idx], cell_sinrs[method][s_idx]
-                stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
-                points.append(
-                    SweepPoint(
-                        method=method,
-                        snr_db=float(snr_db),
-                        v_min=float(velocity_range[0]),
-                        v_max=float(velocity_range[1]),
-                        mean_sum_rate=float(rates.mean()),
-                        stderr=stderr,
-                        realizations=config.realizations,
-                        per_ue_mean_sinr=[float(x) for x in sinrs.mean(axis=0)],
-                        resampled=resampled,
+    for velocities in _velocity_packs(config):
+        cell_rates, cell_sinrs, resampled = _velocity_cells(config, velocities, progress)
+        for j, v_idx in enumerate(velocities):
+            velocity_range = config.velocity_ranges[v_idx]
+            entries = slice(j * config.realizations, (j + 1) * config.realizations)
+            for s_idx, snr_db in enumerate(config.snr_db_list):
+                for method in config.methods:
+                    rates, sinrs = cell_rates[method][s_idx, entries], cell_sinrs[method][s_idx, entries]
+                    stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
+                    points.append(
+                        SweepPoint(
+                            method=method,
+                            snr_db=float(snr_db),
+                            v_min=float(velocity_range[0]),
+                            v_max=float(velocity_range[1]),
+                            mean_sum_rate=float(rates.mean()),
+                            stderr=stderr,
+                            realizations=config.realizations,
+                            per_ue_mean_sinr=[float(x) for x in sinrs.mean(axis=0)],
+                            resampled=int(resampled[j]),
+                        )
                     )
-                )
     stamp = timestamp if timestamp is not None else datetime.datetime.now(datetime.timezone.utc).isoformat()
     return SweepResult(
         points=points,

@@ -148,6 +148,16 @@ def _group_rows(indptr, indices):
     return groups
 
 
+def _distinct_first_and_length(indptr, indices) -> bool:
+    """Whether the CSR rows have pairwise-distinct (first key, length)
+    pairs, which makes them pairwise distinct without comparing keys."""
+    lengths = np.diff(indptr)
+    first = np.full(lengths.size, -1, dtype=np.int64)  # -1 for an empty row
+    first[lengths > 0] = indices[indptr[:-1][lengths > 0]]
+    pairs = np.sort((first + 1) * (indices.size + 1) + lengths)
+    return not (pairs[1:] == pairs[:-1]).any()
+
+
 class RowBlocks(NamedTuple):
     """A head's queries with non-empty rows, packed so that each block
     holds queries of one row class against that class's one key row.
@@ -289,7 +299,8 @@ class SparseMaskSet:
             if (indptr[np.searchsorted(indptr, drops)] != drops).any():
                 raise ValueError("keys must be strictly ascending within each row")
             # Stored class c is the distinct row with the c-th smallest query.
-            groups = _group_rows(indptr, indices)[classes]
+            distinct = _distinct_first_and_length(indptr, indices)
+            groups = classes if distinct else _group_rows(indptr, indices)[classes]
             reps = np.sort(np.unique(groups, return_index=True)[1])
             number = np.zeros(indptr.size - 1, dtype=np.int64)
             number[groups[reps]] = np.arange(reps.size)

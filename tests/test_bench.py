@@ -4,6 +4,7 @@ and the batched cell engine against the scalar per-realization protocol."""
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,31 @@ class TestRunSweep:
     def test_estimation_snr_must_be_finite_or_inf(self, est_snr_db):
         with pytest.raises(ValueError, match="est_snr_db must be finite or \\+inf"):
             SweepConfig(est_snr_db=est_snr_db)
+
+    @pytest.mark.parametrize("ranges, shown", [
+        ((5.0,), "5.0: not a (lo, hi) pair"),
+        (((0.0, 10.0, 20.0),), "(0.0, 10.0, 20.0): not a (lo, hi) pair"),
+        ((((0.0, 1.0), (2.0, 3.0)),), "((0.0, 1.0), (2.0, 3.0)): not a (lo, hi) pair"),
+        (((0.0, 10.0), (40.0, 30.0)), "(40.0, 30.0): velocity range must be finite with 0 <= lo <= hi"),
+        (((0.0, math.nan),), "(0.0, nan): velocity range must be finite"),
+        (((-1.0, 2.0),), "(-1.0, 2.0): velocity range must be finite"),
+        (((0.0, "fast"),), "(0.0, 'fast'): could not convert"),
+        (((None, 1.0),), "(None, 1.0): float() argument"),
+    ], ids=["scalar", "triple", "nested", "reversed", "nan", "negative", "str", "None"])
+    def test_velocity_ranges_must_be_valid_pairs(self, ranges, shown):
+        # each used to construct and then fail in run_sweep, some only
+        # after scoring the velocities before them
+        with pytest.raises(ValueError, match="^" + re.escape(f"velocity_ranges: {shown}")):
+            SweepConfig(velocity_ranges=ranges)
+
+    def test_velocity_pairs_may_be_lists_or_arrays(self):
+        config = SweepConfig(velocity_ranges=([0, 10], np.array([30.0, 40.0]), (5.0, 5.0)))
+        assert len(config.velocity_ranges) == 3
+
+    @pytest.mark.parametrize("optimizer", ["x", None, {"iterations": 5}])
+    def test_optimizer_must_be_an_optimizer_config(self, optimizer):
+        with pytest.raises(ValueError, match="optimizer must be an OptimizerConfig"):
+            SweepConfig(optimizer=optimizer)
 
     def test_zf_needs_as_many_antennas_as_users(self):
         # every zf draw would be singular, so the sweep would redraw in vain
@@ -241,7 +267,10 @@ class TestCommonDraws:
 
     def test_each_velocity_draws_once_before_its_cells(self, monkeypatch):
         # R draws per velocity, not per (velocity, SNR) cell, all made
-        # before the velocity's first cell reports progress
+        # before the first cell of the velocity's pass reports progress:
+        # 5 draws of 8x2 hold 560 channel values over the 7 SNR points,
+        # so the default budget scores both velocities in one pass and
+        # a budget of 560 scores each in its own
         original = bench._generate_true
         events = []
 
@@ -251,11 +280,15 @@ class TestCommonDraws:
 
         monkeypatch.setattr(bench, "_generate_true", counted)
         config = SweepConfig(realizations=5, methods=("zf", "mmse"), seed=3)
-        run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((vr, snr)))
-        expected = []
-        for velocity_range in config.velocity_ranges:
-            expected += ["draw"] * 5 + [(velocity_range, snr) for snr in config.snr_db_list]
-        assert events == expected
+        cells = [[(velocity_range, snr) for snr in config.snr_db_list] for velocity_range in config.velocity_ranges]
+        for budget, expected in [
+            (bench._PASS_VALUES, ["draw"] * 10 + cells[0] + cells[1]),
+            (560, ["draw"] * 5 + cells[0] + ["draw"] * 5 + cells[1]),
+        ]:
+            monkeypatch.setattr(bench, "_PASS_VALUES", budget)
+            events.clear()
+            run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((vr, snr)))
+            assert events == expected, budget
 
     def test_redraw_is_scored_at_every_snr_without_more_progress(self, monkeypatch):
         # realization 3's first draw loses user 0, so ZF is singular at
@@ -280,8 +313,9 @@ class TestCommonDraws:
 
 
 class TestStackedPass:
-    """Each velocity attempt scores every SNR point in one stacked pass,
-    or in a few when the stack is above `bench._PASS_VALUES`."""
+    """Each attempt scores the draws of as many consecutive velocities
+    as fit `bench._PASS_VALUES` at every SNR point in one stacked pass,
+    and a velocity whose SNR points alone do not fit in a few passes."""
 
     @staticmethod
     def _count_optimizer_calls(monkeypatch):
@@ -295,11 +329,13 @@ class TestStackedPass:
         monkeypatch.setattr(beamforming, "optimize_sum_rate", counted)
         return calls
 
-    def test_one_optimizer_call_per_velocity_attempt(self, monkeypatch):
+    def test_one_optimizer_call_per_pass_attempt(self, monkeypatch):
         # realization 3's first draw at the first velocity loses its one
         # user, so ZF is singular and that velocity takes a second attempt;
         # `opt` comes after `zf`, so it is reached once per attempt, on
-        # every SNR point at once
+        # every SNR point at once.  1000 draws of 2x1 hold 6000 channel
+        # values over the 3 SNR points, so the default budget packs both
+        # velocities into one pass and a budget of 6000 scores each alone
         original = bench._generate_true
 
         def lose_user_zero(*args, **kwargs):
@@ -319,23 +355,95 @@ class TestStackedPass:
             methods=("zf", "opt"),
             optimizer=OptimizerConfig(iterations=1),
         )
-        points = run_sweep(config, timestamp="t").points
-        assert [p.resampled for p in points] == [1] * 6 + [0] * 6
-        assert calls == [((3, 999, 2, 1), (3, 1)), ((3, 1, 2, 1), (3, 1)), ((3, 1000, 2, 1), (3, 1))]
+        for budget, expected in [
+            (bench._PASS_VALUES, [((3, 1999, 2, 1), (3, 1)), ((3, 1, 2, 1), (3, 1))]),
+            (6000, [((3, 999, 2, 1), (3, 1)), ((3, 1, 2, 1), (3, 1)), ((3, 1000, 2, 1), (3, 1))]),
+        ]:
+            monkeypatch.setattr(bench, "_PASS_VALUES", budget)
+            calls.clear()
+            points = run_sweep(config, timestamp="t").points
+            assert [p.resampled for p in points] == [1] * 6 + [0] * 6
+            assert calls == expected, budget
 
     def test_large_stack_splits_by_snr_points_with_the_same_bytes(self, monkeypatch):
-        # 4 draws of 8x2 hold 64 channel values per SNR point, so a budget
-        # of 128 scores the 3 SNR points in passes of 2 and 1
+        # 4 draws of 8x2 hold 64 channel values per SNR point, 192 over
+        # the 3 SNR points: a budget of 384 packs both velocities into
+        # one pass, 192 scores each alone, and 128 scores each velocity's
+        # SNR points in passes of 2 and 1
         config = SweepConfig(snr_db_list=(-5.0, 5.0, 15.0), realizations=4, est_snr_db=10.0, seed=5,
                              optimizer=OptimizerConfig(iterations=5))
         whole = _as_dicts(run_sweep(config, timestamp="t").points)
         calls = self._count_optimizer_calls(monkeypatch)
-        monkeypatch.setattr(bench, "_PASS_VALUES", 128)
         events = []
-        split = run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((len(calls), snr)))
-        assert _as_dicts(split.points) == whole
-        assert calls == [((2, 4, 8, 2), (2, 1)), ((1, 4, 8, 2), (1, 1))] * 2
-        assert events == [(1, -5.0), (1, 5.0), (2, 15.0), (3, -5.0), (3, 5.0), (4, 15.0)]
+        cells = [(v, snr) for v in (0.0, 30.0) for snr in config.snr_db_list]
+        for budget, expected_calls, after_call in [
+            (384, [((3, 8, 8, 2), (3, 1))], [1] * 6),
+            (192, [((3, 4, 8, 2), (3, 1))] * 2, [1, 1, 1, 2, 2, 2]),
+            (128, [((2, 4, 8, 2), (2, 1)), ((1, 4, 8, 2), (1, 1))] * 2, [1, 1, 2, 3, 3, 4]),
+        ]:
+            monkeypatch.setattr(bench, "_PASS_VALUES", budget)
+            calls.clear()
+            events.clear()
+            split = run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((len(calls), vr[0], snr)))
+            assert _as_dicts(split.points) == whole, budget
+            assert calls == expected_calls, budget
+            assert events == [(n, *cell) for n, cell in zip(after_call, cells)], budget
+
+
+# Four velocity ranges, the third a duplicate of the first and the last
+# zero-width.  2000 draws of 2x1 hold 4000 channel values over the 2 SNR
+# points, so the default budget scores all four velocities in one pass,
+# 8000 two per pass, and 3999 each velocity one SNR point per pass.
+PACKED = SweepConfig(
+    snr_db_list=(0.0, 20.0),
+    velocity_ranges=((0.0, 10.0), (30.0, 40.0), (0.0, 10.0), (25.0, 25.0)),
+    rx_antennas=2,
+    users=1,
+    realizations=1000,
+    methods=("zf", "mmse", "opt"),
+    seed=8,
+    optimizer=OptimizerConfig(iterations=2),
+)
+
+
+def _lose_velocity_one_user(original):
+    """`_generate_true` whose first draw of realization 3 at velocity 1
+    loses its one user, so ZF is singular there."""
+    def drawn(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if tuple(args[4].bit_generator.seed_seq.entropy[-4:]) == (1, 0, 3, 0):
+            out[..., 0] = 0.0
+        return out
+
+    return drawn
+
+
+@pytest.fixture(scope="module")
+def packed_reference():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "_generate_true", _lose_velocity_one_user(bench._generate_true))
+        return _as_dicts(sweep_points_reference(PACKED))
+
+
+class TestPackedVelocities:
+    @pytest.mark.parametrize("budget, expected_calls", [
+        (bench._PASS_VALUES, [((2, 3999, 2, 1), (2, 1)), ((2, 1, 2, 1), (2, 1))]),
+        (8000, [((2, 1999, 2, 1), (2, 1)), ((2, 1, 2, 1), (2, 1)), ((2, 2000, 2, 1), (2, 1))]),
+        (3999, [((1, 1000, 2, 1), (1, 1))] * 2 + [((1, 999, 2, 1), (1, 1))] * 2 + [((2, 1, 2, 1), (2, 1))]
+         + [((1, 1000, 2, 1), (1, 1))] * 4),
+    ], ids=["one_pass", "two_per_pass", "snr_split"])
+    def test_points_equal_scalar_reference(self, monkeypatch, packed_reference, budget, expected_calls):
+        # the singular draw sits in the second velocity of a shared pass
+        # (unless each velocity has its own); only that velocity redraws
+        monkeypatch.setattr(bench, "_generate_true", _lose_velocity_one_user(bench._generate_true))
+        monkeypatch.setattr(bench, "_PASS_VALUES", budget)
+        calls = TestStackedPass._count_optimizer_calls(monkeypatch)
+        events = []
+        points = run_sweep(PACKED, timestamp="t", progress=lambda vr, snr: events.append((vr, snr))).points
+        assert _as_dicts(points) == packed_reference
+        assert [p.resampled for p in points] == [0] * 6 + [1] * 6 + [0] * 12
+        assert calls == expected_calls
+        assert events == [(vr, snr) for vr in PACKED.velocity_ranges for snr in PACKED.snr_db_list]
 
 
 class TestZeroVelocityAnchors:

@@ -428,6 +428,26 @@ class TestClassForm:
         assert masks.head(0)[0].tolist() == [0, 1, 0, 2, 1, 3]
         assert [masks.row(0, i).tolist() for i in range(6)] == self.ROWS
 
+    @given(
+        pool=st.lists(st.lists(st.integers(0, 5), max_size=3, unique=True).map(sorted), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_class_rows_merge_exactly_the_equal_rows(self, pool, picks):
+        # small pools often hold twin rows, several empty rows and rows
+        # that share their first key and length but differ elsewhere
+        classes = np.array([p % len(pool) for p in picks])
+        indptr = np.r_[0, np.cumsum([len(r) for r in pool])]
+        indices = np.array([k for r in pool for k in r], dtype=np.int64)
+        masks = SparseMaskSet(self.GRID, "doppler_aware", [(classes, indptr, indices)])
+        rows = [tuple(pool[c]) for c in classes]
+        first_seen = {}
+        for row in rows:
+            first_seen.setdefault(row, len(first_seen))
+        assert masks.head(0)[0].tolist() == [first_seen[row] for row in rows]
+        assert masks.head(0)[1].size == len(first_seen) + 1
+        assert [tuple(masks.row(0, i).tolist()) for i in range(6)] == rows
+
     @pytest.mark.parametrize(
         "classes",
         [np.zeros(5, dtype=np.int64), np.zeros((6, 1), dtype=np.int64), np.array([0, 1, 0, -1, 1, 2]),
