@@ -11,16 +11,15 @@ regime the sweep is probing.  Everything is seeded and byte-stable.
 
 Each velocity's realizations are drawn once and scored at every SNR
 point, since the SNR only scales the noise (common random numbers):
-the fading of every realization is computed only at those two points,
-and each method builds and scores the combiners of as many consecutive
-velocities as fit one pass, at all SNR points, in one call, on an
-(SNR points, velocities x realizations) stack with one noise power per
-SNR point; a velocity too large for that takes a few calls of whole
-SNR points.
+the fading of every realization is computed only at those two points.
+Each method then builds and scores the combiners of all velocities'
+draws in passes of consecutive draws, each pass at all SNR points on
+an (SNR points, draws) stack with one noise power per SNR point.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import itertools
 import json
@@ -47,10 +46,11 @@ KNOWN_METHODS = ("zf", "mmse", "opt")
 
 _RESAMPLE_BUDGET = 1e-3  # singular draws must stay under 0.1% of attempts
 # Channel values (draws x antennas x users x SNR points) per stacked
-# scoring pass: the optimizer's time per entry of 8x2 is about 133 us
-# at 500-1000 entries and 160-173 us at 2000-3500, as its temporaries
-# outgrow the cache, so the default 500-realization sweep runs two SNR
-# points per pass; at 8 realizations both velocities fit one pass.
+# scoring pass: the optimizer's time per stack entry (one draw at one
+# SNR point) of 8x2 is about 133 us at 500-1000 entries and 160-173 us
+# at 2000-3500, as its temporaries outgrow the cache.  A pass holds
+# 146 draws of 8x2 at 7 SNR points (1022 entries), so the default
+# 500-realization sweep takes 7 passes and the 8-realization one, 1.
 _PASS_VALUES = 16384
 
 
@@ -72,28 +72,43 @@ class SweepConfig:
     def __post_init__(self):
         if not self.snr_db_list or not self.velocity_ranges:
             raise ValueError("need at least one SNR point and one velocity range")
-        if not all(math.isfinite(snr) for snr in self.snr_db_list):
-            raise ValueError("SNR points must be finite")
-        for snr in self.snr_db_list:
-            _noise_power(snr)
-        for velocity_range in self.velocity_ranges:
-            try:
-                if np.shape(velocity_range) != (2,):
-                    raise ValueError("not a (lo, hi) pair")
-                DopplerConfig(velocity_mps=velocity_range)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"velocity_ranges: {velocity_range!r}: {exc}") from None
+        with _field("snr_db_list"):
+            if not all(math.isfinite(snr) for snr in self.snr_db_list):
+                raise ValueError("SNR points must be finite")
+            for snr in self.snr_db_list:
+                _noise_power(snr)
+        with _field("velocity_ranges"):
+            for velocity_range in self.velocity_ranges:
+                try:
+                    if np.shape(velocity_range) != (2,):
+                        raise ValueError("not a (lo, hi) pair")
+                    DopplerConfig(velocity_mps=velocity_range)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"velocity_ranges: {velocity_range!r}: {exc}") from None
         if not isinstance(self.optimizer, OptimizerConfig):
             raise ValueError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
         for name in ("realizations", "rx_antennas", "users"):
             _check_count(name, getattr(self, name), 1)
-        if not (math.isfinite(self.est_snr_db) or self.est_snr_db == math.inf):
-            raise ValueError(f"est_snr_db must be finite or +inf, got {self.est_snr_db}")
-        bad = set(self.methods) - set(KNOWN_METHODS)
-        if bad or not self.methods or len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}, each named once")
+        _check_count("seed", self.seed, 0)
+        with _field("est_snr_db"):
+            if not (math.isfinite(self.est_snr_db) or self.est_snr_db == math.inf):
+                raise ValueError(f"est_snr_db must be finite or +inf, got {self.est_snr_db}")
+        with _field("methods"):
+            bad = set(self.methods) - set(KNOWN_METHODS)
+            if bad or not self.methods or len(set(self.methods)) < len(self.methods):
+                raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}, each named once")
         if "zf" in self.methods and self.rx_antennas < self.users:
             raise ValueError("zf needs rx_antennas >= users")
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    """A TypeError of the block (an axis that is not a sequence, an
+    entry that is not a number) as a ValueError naming field `name`."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -199,80 +214,55 @@ def pilot_and_target(symbols: int, subcarriers: int) -> tuple:
     return (0, symbols - 1), (subcarriers // 2,)
 
 
-def _velocity_packs(config: SweepConfig) -> list[range]:
-    """Consecutive velocity indices whose draws share their scoring
-    passes: as many velocities as fit `_PASS_VALUES` at every SNR point,
-    or one alone when its SNR points do not fit together."""
-    per_velocity = len(config.snr_db_list) * config.realizations * config.rx_antennas * config.users
-    size = max(1, _PASS_VALUES // per_velocity)
-    count = len(config.velocity_ranges)
-    return [range(first, min(first + size, count)) for first in range(0, count, size)]
-
-
-def _velocity_cells(config: SweepConfig, velocities: range, progress=None):
-    """Rates (S, V x R) and SINRs (S, V x R, users) per method for the
-    V velocities of one pack over the S SNR points, velocity-major, plus
-    each velocity's number of resampled draws.
-
-    Realization r of velocity v at attempt a draws from the derived
-    seed (seed, v, 0, r, a), the seed the first SNR point used when each
-    point drew its own channels, and every SNR point scores those same
-    draws.  Each attempt scores the pack's draws at every SNR point in
-    one stacked pass: `score` gets the draws and the S noise powers as
-    an (S, 1) column, so each method runs once.  A stack above
-    `_PASS_VALUES` channel values takes as few passes as keep each pass
-    within it, a whole number of SNR points each.  An entry that is
-    singular for any method at any SNR point is redrawn at the next
-    attempt and scored again at every point, the others keep their
-    results.  A redraw that would take a velocity's resamples above
-    0.1% of its draws raises instead.  `progress(velocity_range,
-    snr_db)` is called for each cell, velocity-major and in SNR order,
-    right after the first attempt's pass that scored it.
-    """
+def _sweep_scores(config: SweepConfig, progress):
+    """Rates (S, V x R) and SINRs (S, V x R, users) per method of the
+    V x R draws, velocity-major, at the S SNR points, plus each
+    velocity's number of resampled draws, as `run_sweep` describes.
+    Each attempt scores its draws in passes of as many consecutive draws
+    as fit `_PASS_VALUES` at all S SNR points, the noise powers an
+    (S, 1) column; a pass may span velocities."""
     ofdm = OfdmConfig()
-    ranges = [config.velocity_ranges[v] for v in velocities]
-    dopplers = [DopplerConfig(velocity_mps=velocity_range) for velocity_range in ranges]
+    dopplers = [DopplerConfig(velocity_mps=velocity_range) for velocity_range in config.velocity_ranges]
     points = pilot_and_target(ofdm.symbols, ofdm.subcarriers)
     draws = config.realizations
-    shape = (len(velocities) * draws, config.rx_antennas, config.users)
+    shape = (len(dopplers) * draws, config.rx_antennas, config.users)
     estimate = np.empty(shape, dtype=np.complex128)
     target = np.empty(shape, dtype=np.complex128)
-    snrs = len(config.snr_db_list)
     sigma2 = np.array([_noise_power(snr_db) for snr_db in config.snr_db_list])[:, None]
-    rates = {m: np.empty((snrs, shape[0])) for m in config.methods}
-    sinrs = {m: np.empty((snrs, shape[0], config.users)) for m in config.methods}
+    rates = {m: np.empty((sigma2.size, shape[0])) for m in config.methods}
+    sinrs = {m: np.empty((sigma2.size, shape[0], config.users)) for m in config.methods}
+    chunk = max(1, _PASS_VALUES // (sigma2.size * config.rx_antennas * config.users))
     todo = np.arange(shape[0])
-    resampled = np.zeros(len(velocities), dtype=np.int64)
+    resampled = np.zeros(len(dopplers), dtype=np.int64)
     for attempt in itertools.count():
         for entry in todo:
-            j, r = divmod(int(entry), draws)
-            draw_seed = (config.seed, velocities[j], 0, r, attempt)
+            v, r = divmod(int(entry), draws)
+            draw_seed = (config.seed, v, 0, r, attempt)
             rng = np.random.default_rng(draw_seed)
-            pilot, target[entry] = _generate_true(ofdm, dopplers[j], config.rx_antennas, config.users, rng, *points)[:, 0]
+            pilot, target[entry] = _generate_true(ofdm, dopplers[v], config.rx_antennas, config.users, rng, *points)[:, 0]
             estimate[entry] = add_estimation_error(pilot, config.est_snr_db, (*draw_seed, 1))
         ok = np.ones(todo.size, dtype=bool)
-        group = max(1, _PASS_VALUES // (todo.size * config.rx_antennas * config.users))
-        for first in range(0, snrs, group):
-            cols = slice(first, first + group)
-            while ok.any():
-                live = todo[ok]
+        for first in range(0, todo.size, chunk):
+            entries, live = todo[first : first + chunk], ok[first : first + chunk]
+            while live.any():
+                picked = entries[live]
                 try:
-                    scores = score(config.methods, estimate[live], target[live], sigma2[cols], config.optimizer)
+                    scores = score(config.methods, estimate[picked], target[picked], sigma2, config.optimizer)
                 except SingularChannelError as exc:
-                    ok[ok] = ~exc.singular.any(axis=0)
+                    live[live] = ~exc.singular.any(axis=0)
                     continue
                 for method, (method_rates, method_sinrs) in scores.items():
-                    rates[method][cols, live] = method_rates
-                    sinrs[method][cols, live] = method_sinrs
+                    rates[method][:, picked] = method_rates
+                    sinrs[method][:, picked] = method_sinrs
                 break
             if attempt == 0 and progress is not None:
-                for velocity_range in ranges:
-                    for snr_db in config.snr_db_list[cols]:
+                for velocity_range in config.velocity_ranges[first // draws : (first + entries.size) // draws]:
+                    for snr_db in config.snr_db_list:
                         progress(velocity_range, snr_db)
         todo = todo[~ok]
         if not todo.size:
             return rates, sinrs, resampled
-        resampled += np.bincount(todo // draws, minlength=len(velocities))
+        resampled += np.bincount(todo // draws, minlength=len(dopplers))
         for count in resampled:
             if count > _RESAMPLE_BUDGET * (draws + count):
                 raise RuntimeError(f"singular-channel resample rate above 0.1%: {count} resamples")
@@ -287,38 +277,37 @@ def run_sweep(config: SweepConfig, timestamp: str | None = None, progress=None) 
     draws.  Dropping SNR points therefore leaves the others unchanged,
     and the first SNR point, like every one-SNR sweep, gives the bytes
     of sparsebeam 0.2.0, where each SNR point drew its own channels.
-    Each method scores the draws of as many consecutive velocities as
-    fit `_PASS_VALUES` at all SNR points in one stacked pass, and a
-    velocity whose SNR points alone do not fit in a few passes of whole
-    SNR points, exactly as it would score them one velocity and one
-    SNR point at a time.  Redraws and their 0.1% budget stay per
-    velocity.  `progress(velocity_range, snr_db)` is called once per
-    cell, velocity-major and in SNR order, the calls of a pass right
-    after it, so a pass's work lands before its first cell's call.
+    Each method scores all draws at all SNR points in passes of
+    `_PASS_VALUES` channel values, exactly as it would score them one
+    draw and one SNR point at a time.  A draw that is singular for any
+    method at any SNR point is redrawn at the next attempt, after all
+    of this attempt's passes; a redraw that would take a velocity's
+    resamples above 0.1% of its draws raises instead.
+    `progress(velocity_range, snr_db)` is called once per cell,
+    velocity-major and in SNR order, a velocity's calls right after the
+    first attempt's pass that scored its last draw.
     """
+    cell_rates, cell_sinrs, resampled = _sweep_scores(config, progress)
     points: list[SweepPoint] = []
-    for velocities in _velocity_packs(config):
-        cell_rates, cell_sinrs, resampled = _velocity_cells(config, velocities, progress)
-        for j, v_idx in enumerate(velocities):
-            velocity_range = config.velocity_ranges[v_idx]
-            entries = slice(j * config.realizations, (j + 1) * config.realizations)
-            for s_idx, snr_db in enumerate(config.snr_db_list):
-                for method in config.methods:
-                    rates, sinrs = cell_rates[method][s_idx, entries], cell_sinrs[method][s_idx, entries]
-                    stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
-                    points.append(
-                        SweepPoint(
-                            method=method,
-                            snr_db=float(snr_db),
-                            v_min=float(velocity_range[0]),
-                            v_max=float(velocity_range[1]),
-                            mean_sum_rate=float(rates.mean()),
-                            stderr=stderr,
-                            realizations=config.realizations,
-                            per_ue_mean_sinr=[float(x) for x in sinrs.mean(axis=0)],
-                            resampled=int(resampled[j]),
-                        )
+    for v, velocity_range in enumerate(config.velocity_ranges):
+        entries = slice(v * config.realizations, (v + 1) * config.realizations)
+        for s_idx, snr_db in enumerate(config.snr_db_list):
+            for method in config.methods:
+                rates, sinrs = cell_rates[method][s_idx, entries], cell_sinrs[method][s_idx, entries]
+                stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
+                points.append(
+                    SweepPoint(
+                        method=method,
+                        snr_db=float(snr_db),
+                        v_min=float(velocity_range[0]),
+                        v_max=float(velocity_range[1]),
+                        mean_sum_rate=float(rates.mean()),
+                        stderr=stderr,
+                        realizations=config.realizations,
+                        per_ue_mean_sinr=[float(x) for x in sinrs.mean(axis=0)],
+                        resampled=int(resampled[v]),
                     )
+                )
     stamp = timestamp if timestamp is not None else datetime.datetime.now(datetime.timezone.utc).isoformat()
     return SweepResult(
         points=points,

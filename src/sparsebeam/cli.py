@@ -52,7 +52,7 @@ def load_config_file(path) -> dict:
 
 def _add_common(parser):
     parser.add_argument("--config", help="flat key = value file of flag values; explicit flags win")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
     parser.add_argument("--quiet", action="store_true")
 
 
@@ -79,11 +79,14 @@ def _method_list(text: str) -> tuple:
     return methods
 
 
-def _count(text: str) -> int:
-    """`attn-check` trial counts: an integer >= 1, so a run checks something."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """Flag type: an integer >= `low`, so a seed is one numpy takes and
+    an `attn-check` run checks something."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 class _AppendOnce(argparse.Action):
@@ -275,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_grid_args(p)
     p.set_defaults(L=4, K=6)  # desk-scale default grid for kernel checks
-    p.add_argument("--trials", type=_count, default=20)
-    p.add_argument("--grad-trials", type=_count, default=3)
+    p.add_argument("--trials", type=_at_least(1), default=20)
+    p.add_argument("--grad-trials", type=_at_least(1), default=3)
     p.add_argument("--model-dim", type=int, default=8)
     p.set_defaults(handler=_cmd_attn_check)
 

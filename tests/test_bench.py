@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import sweep_points_reference
 
 from sparsebeam import (
@@ -89,6 +91,16 @@ class TestRunSweep:
         for snr in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 SweepConfig(snr_db_list=(0.0, snr))
+        # an axis that is not a sequence, or an entry that is not a
+        # number, used to raise a TypeError that named no field
+        for fields in (dict(snr_db_list=5.0), dict(snr_db_list=("a",)), dict(methods=5), dict(est_snr_db="x")):
+            (name,) = fields
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                SweepConfig(**fields)
+        # a negative seed used to construct and then fail inside numpy
+        for seed in (-1, 1.5, True, None):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                SweepConfig(seed=seed)
 
     @pytest.mark.parametrize("snr, power", [(4000.0, "0"), (-4000.0, "inf")])
     def test_snr_must_give_a_finite_positive_noise_power(self, snr, power):
@@ -126,7 +138,8 @@ class TestRunSweep:
         (((-1.0, 2.0),), "(-1.0, 2.0): velocity range must be finite"),
         (((0.0, "fast"),), "(0.0, 'fast'): could not convert"),
         (((None, 1.0),), "(None, 1.0): float() argument"),
-    ], ids=["scalar", "triple", "nested", "reversed", "nan", "negative", "str", "None"])
+        (5.0, "'float' object is not iterable"),
+    ], ids=["scalar", "triple", "nested", "reversed", "nan", "negative", "str", "None", "not_a_sequence"])
     def test_velocity_ranges_must_be_valid_pairs(self, ranges, shown):
         # each used to construct and then fail in run_sweep, some only
         # after scoring the velocities before them
@@ -266,11 +279,9 @@ class TestCommonDraws:
             assert all(b >= a * (1 - 1e-12) for a, b in zip(rates, rates[1:])), (seed, rates)
 
     def test_each_velocity_draws_once_before_its_cells(self, monkeypatch):
-        # R draws per velocity, not per (velocity, SNR) cell, all made
-        # before the first cell of the velocity's pass reports progress:
-        # 5 draws of 8x2 hold 560 channel values over the 7 SNR points,
-        # so the default budget scores both velocities in one pass and
-        # a budget of 560 scores each in its own
+        # R draws per velocity, not per (velocity, SNR) cell, all of both
+        # velocities made before the first pass, whether it scores all
+        # 10 draws or one
         original = bench._generate_true
         events = []
 
@@ -280,15 +291,12 @@ class TestCommonDraws:
 
         monkeypatch.setattr(bench, "_generate_true", counted)
         config = SweepConfig(realizations=5, methods=("zf", "mmse"), seed=3)
-        cells = [[(velocity_range, snr) for snr in config.snr_db_list] for velocity_range in config.velocity_ranges]
-        for budget, expected in [
-            (bench._PASS_VALUES, ["draw"] * 10 + cells[0] + cells[1]),
-            (560, ["draw"] * 5 + cells[0] + ["draw"] * 5 + cells[1]),
-        ]:
+        cells = [(velocity_range, snr) for velocity_range in config.velocity_ranges for snr in config.snr_db_list]
+        for budget in (bench._PASS_VALUES, 1):
             monkeypatch.setattr(bench, "_PASS_VALUES", budget)
             events.clear()
             run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((vr, snr)))
-            assert events == expected, budget
+            assert events == ["draw"] * 10 + cells, budget
 
     def test_redraw_is_scored_at_every_snr_without_more_progress(self, monkeypatch):
         # realization 3's first draw loses user 0, so ZF is singular at
@@ -312,88 +320,88 @@ class TestCommonDraws:
         assert _as_dicts(points) == _as_dicts(sweep_points_reference(config))
 
 
+def _count_optimizer_calls(monkeypatch):
+    """The (channel shape, noise power shape) of each optimizer call."""
+    original = beamforming.optimize_sum_rate
+    calls = []
+
+    def counted(channel_est, channel_true, noise_power, config):
+        calls.append((channel_est.shape, np.shape(noise_power)))
+        return original(channel_est, channel_true, noise_power, config)
+
+    monkeypatch.setattr(beamforming, "optimize_sum_rate", counted)
+    return calls
+
+
 class TestStackedPass:
-    """Each attempt scores the draws of as many consecutive velocities
-    as fit `bench._PASS_VALUES` at every SNR point in one stacked pass,
-    and a velocity whose SNR points alone do not fit in a few passes."""
-
-    @staticmethod
-    def _count_optimizer_calls(monkeypatch):
-        original = beamforming.optimize_sum_rate
-        calls = []
-
-        def counted(channel_est, channel_true, noise_power, config):
-            calls.append((channel_est.shape, np.shape(noise_power)))
-            return original(channel_est, channel_true, noise_power, config)
-
-        monkeypatch.setattr(beamforming, "optimize_sum_rate", counted)
-        return calls
+    """Each attempt scores its draws in passes of as many consecutive
+    draws as fit `bench._PASS_VALUES` at all SNR points, across
+    velocities, with the same bytes at every budget."""
 
     def test_one_optimizer_call_per_pass_attempt(self, monkeypatch):
-        # realization 3's first draw at the first velocity loses its one
-        # user, so ZF is singular and that velocity takes a second attempt;
-        # `opt` comes after `zf`, so it is reached once per attempt, on
-        # every SNR point at once.  1000 draws of 2x1 hold 6000 channel
-        # values over the 3 SNR points, so the default budget packs both
-        # velocities into one pass and a budget of 6000 scores each alone
-        original = bench._generate_true
-
-        def lose_user_zero(*args, **kwargs):
-            out = original(*args, **kwargs)
-            if tuple(args[4].bit_generator.seed_seq.entropy[-4:]) == (0, 0, 3, 0):
-                out[..., 0] = 0.0
-            return out
-
-        monkeypatch.setattr(bench, "_generate_true", lose_user_zero)
-        calls = self._count_optimizer_calls(monkeypatch)
-        config = SweepConfig(
-            snr_db_list=(0.0, 10.0, 20.0),
-            velocity_ranges=((0.0, 10.0), (30.0, 40.0)),
-            rx_antennas=2,
-            users=1,
-            realizations=1000,
-            methods=("zf", "opt"),
-            optimizer=OptimizerConfig(iterations=1),
-        )
-        for budget, expected in [
-            (bench._PASS_VALUES, [((3, 1999, 2, 1), (3, 1)), ((3, 1, 2, 1), (3, 1))]),
-            (6000, [((3, 999, 2, 1), (3, 1)), ((3, 1, 2, 1), (3, 1)), ((3, 1000, 2, 1), (3, 1))]),
-        ]:
-            monkeypatch.setattr(bench, "_PASS_VALUES", budget)
-            calls.clear()
-            points = run_sweep(config, timestamp="t").points
-            assert [p.resampled for p in points] == [1] * 6 + [0] * 6
-            assert calls == expected, budget
-
-    def test_large_stack_splits_by_snr_points_with_the_same_bytes(self, monkeypatch):
-        # 4 draws of 8x2 hold 64 channel values per SNR point, 192 over
-        # the 3 SNR points: a budget of 384 packs both velocities into
-        # one pass, 192 scores each alone, and 128 scores each velocity's
-        # SNR points in passes of 2 and 1
-        config = SweepConfig(snr_db_list=(-5.0, 5.0, 15.0), realizations=4, est_snr_db=10.0, seed=5,
-                             optimizer=OptimizerConfig(iterations=5))
-        whole = _as_dicts(run_sweep(config, timestamp="t").points)
-        calls = self._count_optimizer_calls(monkeypatch)
+        # 8 draws of 8x2 at the 7 default SNR points (the benchmark's
+        # sweep) fit one pass, and 500 take passes of 146 draws, the
+        # last of 124; each velocity reports after the pass that scored
+        # its last draw.  `opt` is reached once per pass and attempt, on
+        # every SNR point at once
+        calls = _count_optimizer_calls(monkeypatch)
         events = []
-        cells = [(v, snr) for v in (0.0, 30.0) for snr in config.snr_db_list]
-        for budget, expected_calls, after_call in [
-            (384, [((3, 8, 8, 2), (3, 1))], [1] * 6),
-            (192, [((3, 4, 8, 2), (3, 1))] * 2, [1, 1, 1, 2, 2, 2]),
-            (128, [((2, 4, 8, 2), (2, 1)), ((1, 4, 8, 2), (1, 1))] * 2, [1, 1, 2, 3, 3, 4]),
+        one_step = OptimizerConfig(iterations=1)
+        for config, expected_calls, after_call in [
+            (SweepConfig(realizations=8, optimizer=one_step), [((7, 16, 8, 2), (7, 1))], [1] * 14),
+            (SweepConfig(methods=("opt",), optimizer=one_step),
+             [((7, 146, 8, 2), (7, 1))] * 6 + [((7, 124, 8, 2), (7, 1))], [4] * 7 + [7] * 7),
         ]:
-            monkeypatch.setattr(bench, "_PASS_VALUES", budget)
             calls.clear()
             events.clear()
-            split = run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((len(calls), vr[0], snr)))
-            assert _as_dicts(split.points) == whole, budget
-            assert calls == expected_calls, budget
-            assert events == [(n, *cell) for n, cell in zip(after_call, cells)], budget
+            run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append(len(calls)))
+            assert calls == expected_calls
+            assert events == after_call
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        velocities=st.integers(1, 3),
+        snrs=st.integers(1, 3),
+        draws=st.integers(1, 5),
+        users=st.integers(1, 2),
+        chunk=st.integers(1, 15),
+        slack=st.integers(0, 11),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_budget_gives_the_same_bytes_and_progress(self, velocities, snrs, draws, users, chunk, slack, seed):
+        # budgets from one draw per pass up to the whole stack, and any
+        # values short of one more draw: the points equal the default
+        # budget's, and each velocity's cells report right after the
+        # pass that scored its last draw
+        config = SweepConfig(
+            snr_db_list=(-5.0, 5.0, 15.0)[:snrs],
+            velocity_ranges=((0.0, 10.0), (30.0, 40.0), (90.0, 100.0))[:velocities],
+            rx_antennas=3,
+            users=users,
+            realizations=draws,
+            est_snr_db=10.0,
+            seed=seed,
+            optimizer=OptimizerConfig(iterations=3),
+        )
+        chunk = min(chunk, velocities * draws)
+        per_draw = snrs * config.rx_antennas * users
+        whole = _as_dicts(run_sweep(config, timestamp="t").points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "_PASS_VALUES", chunk * per_draw + min(slack, per_draw - 1))
+            calls = _count_optimizer_calls(patch)
+            events = []
+            points = run_sweep(config, timestamp="t", progress=lambda vr, snr: events.append((len(calls), vr, snr))).points
+        assert _as_dicts(points) == whole
+        assert len(calls) == -(-velocities * draws // chunk)
+        assert events == [(((v + 1) * draws - 1) // chunk + 1, vr, snr)
+                          for v, vr in enumerate(config.velocity_ranges) for snr in config.snr_db_list]
 
 
 # Four velocity ranges, the third a duplicate of the first and the last
-# zero-width.  2000 draws of 2x1 hold 4000 channel values over the 2 SNR
-# points, so the default budget scores all four velocities in one pass,
-# 8000 two per pass, and 3999 each velocity one SNR point per pass.
+# zero-width.  4000 draws of 2x1 at the 2 SNR points hold 16000 channel
+# values, so the default budget scores all four velocities in one pass,
+# 8000 two per pass, and 6000 passes of 1500 draws, the first of them
+# velocity 0 and half of velocity 1.
 PACKED = SweepConfig(
     snr_db_list=(0.0, 20.0),
     velocity_ranges=((0.0, 10.0), (30.0, 40.0), (0.0, 10.0), (25.0, 25.0)),
@@ -406,12 +414,12 @@ PACKED = SweepConfig(
 )
 
 
-def _lose_velocity_one_user(original):
-    """`_generate_true` whose first draw of realization 3 at velocity 1
-    loses its one user, so ZF is singular there."""
+def _lose_user_zero_at(velocity, original):
+    """`_generate_true` whose first draw of realization 3 at `velocity`
+    loses user 0, so ZF is singular there when there is one user."""
     def drawn(*args, **kwargs):
         out = original(*args, **kwargs)
-        if tuple(args[4].bit_generator.seed_seq.entropy[-4:]) == (1, 0, 3, 0):
+        if tuple(args[4].bit_generator.seed_seq.entropy[-4:]) == (velocity, 0, 3, 0):
             out[..., 0] = 0.0
         return out
 
@@ -421,23 +429,24 @@ def _lose_velocity_one_user(original):
 @pytest.fixture(scope="module")
 def packed_reference():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bench, "_generate_true", _lose_velocity_one_user(bench._generate_true))
+        patch.setattr(bench, "_generate_true", _lose_user_zero_at(1, bench._generate_true))
         return _as_dicts(sweep_points_reference(PACKED))
 
 
 class TestPackedVelocities:
     @pytest.mark.parametrize("budget, expected_calls", [
         (bench._PASS_VALUES, [((2, 3999, 2, 1), (2, 1)), ((2, 1, 2, 1), (2, 1))]),
-        (8000, [((2, 1999, 2, 1), (2, 1)), ((2, 1, 2, 1), (2, 1)), ((2, 2000, 2, 1), (2, 1))]),
-        (3999, [((1, 1000, 2, 1), (1, 1))] * 2 + [((1, 999, 2, 1), (1, 1))] * 2 + [((2, 1, 2, 1), (2, 1))]
-         + [((1, 1000, 2, 1), (1, 1))] * 4),
-    ], ids=["one_pass", "two_per_pass", "snr_split"])
+        (8000, [((2, 1999, 2, 1), (2, 1)), ((2, 2000, 2, 1), (2, 1)), ((2, 1, 2, 1), (2, 1))]),
+        (6000, [((2, 1499, 2, 1), (2, 1)), ((2, 1500, 2, 1), (2, 1)), ((2, 1000, 2, 1), (2, 1)),
+                ((2, 1, 2, 1), (2, 1))]),
+    ], ids=["one_pass", "two_per_pass", "straddling"])
     def test_points_equal_scalar_reference(self, monkeypatch, packed_reference, budget, expected_calls):
-        # the singular draw sits in the second velocity of a shared pass
-        # (unless each velocity has its own); only that velocity redraws
-        monkeypatch.setattr(bench, "_generate_true", _lose_velocity_one_user(bench._generate_true))
+        # the singular draw, entry 1003, sits in a pass shared with other
+        # velocities, at budget 6000 one that spans velocities 0 and 1;
+        # only velocity 1 redraws, after the first attempt's passes
+        monkeypatch.setattr(bench, "_generate_true", _lose_user_zero_at(1, bench._generate_true))
         monkeypatch.setattr(bench, "_PASS_VALUES", budget)
-        calls = TestStackedPass._count_optimizer_calls(monkeypatch)
+        calls = _count_optimizer_calls(monkeypatch)
         events = []
         points = run_sweep(PACKED, timestamp="t", progress=lambda vr, snr: events.append((vr, snr))).points
         assert _as_dicts(points) == packed_reference

@@ -63,6 +63,14 @@ class TestExitCodes:
     def test_every_subcommand_help_exits_zero(self, capsys, name):
         assert cli_dispatch([name, "--help"]) == 0
 
+    @pytest.mark.parametrize("name", sorted(_subcommands(build_parser())))
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, capsys, name, seed):
+        # `sweep` and `channel` used to exit 1 with numpy's message for a
+        # negative seed, and `graph` ignored it and exited 0
+        assert cli_dispatch([name, "--seed", seed]) == 2
+        assert "--seed: expected an integer >= 0" in capsys.readouterr().err
+
 
 class TestMasksCommand:
     def test_writes_schema_compliant_json(self, tmp_path):
