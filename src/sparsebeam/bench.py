@@ -70,13 +70,11 @@ class SweepConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        if not self.snr_db_list or not self.velocity_ranges:
-            raise ValueError("need at least one SNR point and one velocity range")
         with _field("snr_db_list"):
-            if not all(math.isfinite(snr) for snr in self.snr_db_list):
-                raise ValueError("SNR points must be finite")
             for snr in self.snr_db_list:
                 _noise_power(snr)
+            if len(self.snr_db_list) == 0:
+                raise ValueError("snr_db_list: need at least one SNR point")
         with _field("velocity_ranges"):
             for velocity_range in self.velocity_ranges:
                 try:
@@ -85,6 +83,8 @@ class SweepConfig:
                     DopplerConfig(velocity_mps=velocity_range)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"velocity_ranges: {velocity_range!r}: {exc}") from None
+            if len(self.velocity_ranges) == 0:
+                raise ValueError("velocity_ranges: need at least one velocity range")
         if not isinstance(self.optimizer, OptimizerConfig):
             raise ValueError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
         for name in ("realizations", "rx_antennas", "users"):
@@ -95,7 +95,7 @@ class SweepConfig:
                 raise ValueError(f"est_snr_db must be finite or +inf, got {self.est_snr_db}")
         with _field("methods"):
             bad = set(self.methods) - set(KNOWN_METHODS)
-            if bad or not self.methods or len(set(self.methods)) < len(self.methods):
+            if bad or len(self.methods) == 0 or len(set(self.methods)) < len(self.methods):
                 raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}, each named once")
         if "zf" in self.methods and self.rx_antennas < self.users:
             raise ValueError("zf needs rx_antennas >= users")

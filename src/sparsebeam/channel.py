@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_count
+
 SPEED_OF_LIGHT = 2.99792458e8
 
 CHANNEL_FILE_MAGIC = int.from_bytes(b"SBCHAN01", "little")
@@ -69,8 +71,8 @@ class OfdmConfig:
     delay_spread_s: float = 100e-9
 
     def __post_init__(self):
-        if min(self.symbols, self.subcarriers, self.num_taps) < 1:
-            raise ValueError("symbols, subcarriers and taps must be >= 1")
+        for name in ("symbols", "subcarriers", "num_taps"):
+            _check_count(name, getattr(self, name), 1)
         if not all(0 < x < math.inf for x in (self.subcarrier_spacing_hz, self.tti_s, self.delay_spread_s)):
             raise ValueError("spacing, TTI and delay spread must be finite and > 0")
 
@@ -158,10 +160,8 @@ def generate_channel_batch(
     subcarriers, antennas, users); estimates come from
     `add_estimation_error`.  Realization r uses the derived stream
     (seed, r), so the batch is reproducible and order-independent."""
-    if realizations < 1:
-        raise ValueError("need at least one realization")
-    if antennas < 1 or users < 1:
-        raise ValueError("antennas and users must be >= 1")
+    for name, count in (("antennas", antennas), ("users", users), ("realizations", realizations)):
+        _check_count(name, count, 1)
     out = np.empty(
         (realizations, ofdm.symbols, ofdm.subcarriers, antennas, users), dtype=np.complex128
     )

@@ -9,12 +9,18 @@ exactly as it parses the flag (a switch takes true or false).  A key
 whose flag is also on the command line is ignored, so explicit flags
 win.  A key of another subcommand is skipped; a key that names no flag
 of any subcommand, or a malformed line, is a usage error.
+
+Reports go to stdout through this module's logger, `sparsebeam.cli`,
+at INFO; `--quiet` sets its level to WARNING.  An error goes to stderr
+as `error: ...`, whatever `--quiet` says.  Data a command prints in
+place of a file is output, not a report, and `--quiet` keeps it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -29,8 +35,11 @@ from .errors import ResourceLimitError, SingularChannelError
 from .graph import connectivity_report, verify_partition
 from .masks import DEFAULT_TOKEN_CAP, GridSpec, build_doppler_masks, build_fixed_strided_masks
 
+_log = logging.getLogger(__name__)
+_log.propagate = False  # `cli_dispatch`'s handler is the only one that prints a report
+
 # attn-check gates: the acceptance suite's kernel tolerances
-_FORWARD_TOL = 1e-6
+_FORWARD_TOL = 1e-12
 _GRADIENT_TOL = 1e-5
 
 
@@ -103,11 +112,6 @@ def _grid_from(args) -> GridSpec:
     return GridSpec(symbols=args.L, subcarriers=args.K, heads=args.heads, time_bias=args.time_bias)
 
 
-def _say(args, message):
-    if not args.quiet:
-        print(message)
-
-
 def _emit(path, text: str) -> bool:
     """Write `text` to `path`, or print it when there is no path; True
     when a file was written."""
@@ -128,9 +132,9 @@ def _cmd_masks(args) -> int:
         masks = build_fixed_strided_masks(grid, causal=args.causal, max_tokens=args.max_tokens)
     if _emit(args.out, json.dumps(masks.to_json_dict()) + "\n"):
         report = masks.validation_report()
-        _say(args, f"wrote {args.out}: {masks.head_count} heads x {masks.tokens} tokens, "
-                   f"empty rows per head {report['empty_rows_per_head']}, "
-                   f"row classes per head {report['row_classes_per_head']}")
+        _log.info(f"wrote {args.out}: {masks.head_count} heads x {masks.tokens} tokens, "
+                  f"empty rows per head {report['empty_rows_per_head']}, "
+                  f"row classes per head {report['row_classes_per_head']}")
     return 0
 
 
@@ -142,16 +146,16 @@ def _cmd_graph(args) -> int:
     if args.report:
         _write_text(args.report, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     if args.mode in ("directed", "both"):
-        _say(args, f"directed diameter: {report.directed.diameter}")
+        _log.info(f"directed diameter: {report.directed.diameter}")
     if args.mode in ("undirected", "both"):
-        _say(args, f"undirected diameter: {report.undirected.diameter}")
-    _say(args, f"stride {report.global_stride}, bridging heads {report.bridging_heads}, "
-               f"fully connected: {report.fully_connected}, hop bound <= heads: {report.hop_bound_satisfied}")
+        _log.info(f"undirected diameter: {report.undirected.diameter}")
+    _log.info(f"stride {report.global_stride}, bridging heads {report.bridging_heads}, "
+              f"fully connected: {report.fully_connected}, hop bound <= heads: {report.hop_bound_satisfied}")
     if not partition.passed:
-        _say(args, f"partition check FAILED with witness {partition.witness}")
+        _log.info(f"partition check FAILED with witness {partition.witness}")
         return 1
     if not report.theorem_consistent:
-        _say(args, "connectivity check FAILED: bridging holds but the union graph is disconnected")
+        _log.info("connectivity check FAILED: bridging holds but the union graph is disconnected")
         return 1
     return 0
 
@@ -169,10 +173,10 @@ def _cmd_attn_check(args) -> int:
     for trial in range(args.grad_trials):
         block = EmbeddingBlock.random(grid.tokens, args.model_dim, grid.heads, seed=(args.seed, 1000 + trial))
         worst_grad = max(worst_grad, gradient_check(block, masks))
-    _say(args, f"max forward deviation vs dense oracle: {worst_forward:.3e}")
-    _say(args, f"max gradient relative error: {worst_grad:.3e}")
+    _log.info(f"max forward deviation vs dense oracle: {worst_forward:.3e}")
+    _log.info(f"max gradient relative error: {worst_grad:.3e}")
     if worst_forward > _FORWARD_TOL or worst_grad > _GRADIENT_TOL:
-        _say(args, "attention check FAILED")
+        _log.info("attention check FAILED")
         return 1
     return 0
 
@@ -184,7 +188,7 @@ def _cmd_histogram(args) -> int:
     for head, counts in enumerate(attended_keys_histogram(masks)):
         lines += [f"{head},{length},{count}" for length, count in counts.items()]
     if _emit(args.out, "\n".join(lines) + "\n"):
-        _say(args, f"wrote {args.out} ({masks.tokens} queries per head)")
+        _log.info(f"wrote {args.out} ({masks.tokens} queries per head)")
     return 0
 
 
@@ -201,7 +205,7 @@ def _cmd_channel(args) -> int:
     batch = generate_channel_batch(ofdm, doppler, args.m, args.n, args.realizations, args.seed)
     write_channel_file(args.out, batch, args.seed)
     power = float((np.abs(batch) ** 2).mean())
-    _say(args, f"wrote {args.out}: {batch.shape} complex128, mean |H|^2 = {power:.4f}")
+    _log.info(f"wrote {args.out}: {batch.shape} complex128, mean |H|^2 = {power:.4f}")
     return 0
 
 
@@ -227,7 +231,7 @@ def _cmd_beamform(args) -> int:
             sinr_db = ",".join(_fmt(10.0 * np.log10(g)) for g in gammas[r])
             lines.append(f"{r},{method},{_fmt(args.snr_db)},{_fmt(rates[r])},{sinr_db}")
     if _emit(args.csv, "\n".join(lines) + "\n"):
-        _say(args, f"wrote {args.csv} ({meta['realizations']} realizations)")
+        _log.info(f"wrote {args.csv} ({meta['realizations']} realizations)")
     return 0
 
 
@@ -240,12 +244,12 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         optimizer=OptimizerConfig(iterations=args.opt_iterations),
     )
-    result = run_sweep(config, progress=lambda vr, snr: _say(args, f"  velocity {vr} snr {snr} dB done"))
+    result = run_sweep(config, progress=lambda vr, snr: _log.info(f"  velocity {vr} snr {snr} dB done"))
     export_report(result, "csv", args.out)
-    _say(args, f"wrote {args.out} ({len(result.points)} points)")
+    _log.info(f"wrote {args.out} ({len(result.points)} points)")
     if args.json:
         export_report(result, "json", args.json)
-        _say(args, f"wrote {args.json}")
+        _log.info(f"wrote {args.json}")
     return 0
 
 
@@ -395,19 +399,27 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:  # argparse exits on usage errors (2) and on --help/--version (0)
         return int(exc.code or 0)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except ValueError as exc:  # a bad config entry
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
+    # bound to the sys.stdout of this call, so a redirect around it holds
+    handler = logging.StreamHandler(sys.stdout)
+    _log.addHandler(handler)
+    _log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         return int(args.handler(args) or 0)
     except (ResourceLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
+    finally:
+        _log.removeHandler(handler)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Write `exc` to stderr as the one error line and return exit `code`."""
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -150,6 +150,26 @@ class TestRunSweep:
         config = SweepConfig(velocity_ranges=([0, 10], np.array([30.0, 40.0]), (5.0, 5.0)))
         assert len(config.velocity_ranges) == 3
 
+    def test_array_axes_give_the_tuple_configs_bytes(self, tmp_path):
+        # an axis array of more than one entry used to raise numpy's
+        # "truth value of an array ... is ambiguous", naming no field
+        tuples = dataclasses.replace(SMALL, velocity_ranges=((0.0, 10.0), (30.0, 40.0)), realizations=3)
+        arrays = dataclasses.replace(
+            tuples,
+            snr_db_list=np.array(tuples.snr_db_list),
+            velocity_ranges=np.array(tuples.velocity_ranges),
+            methods=np.array(tuples.methods),
+        )
+        for name, config in (("tuples", tuples), ("arrays", arrays)):
+            export_report(run_sweep(config, timestamp="t"), "csv", tmp_path / f"{name}.csv")
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
+
+    @pytest.mark.parametrize("field, empty", [("snr_db_list", np.array([])), ("velocity_ranges", np.zeros((0, 2))),
+                                              ("methods", np.array([], dtype=str)), ("snr_db_list", ())])
+    def test_empty_axis_rejected_naming_the_field(self, field, empty):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            SweepConfig(**{field: empty})
+
     @pytest.mark.parametrize("optimizer", ["x", None, {"iterations": 5}])
     def test_optimizer_must_be_an_optimizer_config(self, optimizer):
         with pytest.raises(ValueError, match="optimizer must be an OptimizerConfig"):

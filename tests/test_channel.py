@@ -290,6 +290,21 @@ class TestOfdmConfig:
         with pytest.raises(ValueError):
             OfdmConfig(delay_spread_s=0.0)
 
+    @pytest.mark.parametrize("field", ["symbols", "subcarriers", "num_taps"])
+    @pytest.mark.parametrize("value", [0, 14.5, 48.0, True, np.float64(2.0), "2"])
+    def test_counts_must_be_non_bool_integers(self, field, value):
+        # a float or a bool count used to pass and then die in numpy
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            OfdmConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = OfdmConfig(symbols=np.int64(2), subcarriers=np.int32(12), num_taps=np.uint8(1))
+        assert generate_channel_batch(cfg, DopplerConfig(), np.int64(2), 1, np.int64(1), seed=0).shape == (1, 2, 12, 2, 1)
+
+    def test_resource_blocks_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^subcarriers must be an integer >= 1, got 30.0"):
+            OfdmConfig.from_resource_blocks(2.5)
+
     @pytest.mark.parametrize("field", ["subcarrier_spacing_hz", "tti_s", "delay_spread_s"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_rejected(self, field, value):
@@ -395,5 +410,15 @@ class TestChannelFile:
     @pytest.mark.parametrize("antennas, users", [(0, 2), (2, 0)])
     def test_batch_needs_antennas_and_users(self, antennas, users):
         ofdm = OfdmConfig(symbols=2, subcarriers=3)
-        with pytest.raises(ValueError, match="antennas and users must be >= 1"):
+        name = "antennas" if antennas == 0 else "users"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
             generate_channel_batch(ofdm, DopplerConfig(), antennas, users, 1, seed=0)
+
+    @pytest.mark.parametrize("field, value", [("antennas", 2.0), ("users", True), ("realizations", 2.5),
+                                              ("realizations", 0), ("realizations", "2")])
+    def test_batch_counts_must_be_integers(self, field, value):
+        # a float or a bool count used to pass and then die in numpy with
+        # a TypeError that named no field
+        counts = dict(antennas=2, users=1, realizations=1) | {field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            generate_channel_batch(OfdmConfig(symbols=2, subcarriers=3), DopplerConfig(), **counts, seed=0)

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +130,19 @@ class TestAttnCheckCommand:
         out = capsys.readouterr().out
         assert "max forward deviation" in out
 
+    def test_forward_gate_is_the_acceptance_tolerance(self, monkeypatch, capsys):
+        # the gate used to be 1e-6, so a forward off by 1e-9 passed
+        exact = cli.sparse_attention_forward
+
+        def off(block, masks):
+            result = exact(block, masks)
+            return dataclasses.replace(result, output=result.output + 1e-9)
+
+        monkeypatch.setattr(cli, "sparse_attention_forward", off)
+        assert cli_dispatch(["attn-check", "--trials", "1", "--grad-trials", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "max forward deviation vs dense oracle: 1.000e-09" in out and "attention check FAILED" in out
+
     @pytest.mark.parametrize("flag", ["--tol-forward", "--tol-grad"])
     def test_tolerances_are_not_settable(self, capsys, flag):
         assert cli_dispatch(["attn-check", "--trials", "1", "--grad-trials", "1", flag, "1"]) == 2
@@ -172,7 +188,8 @@ class TestChannelCommand:
         out = tmp_path / "c.bin"
         code = cli_dispatch(["channel", *flags, "--rb", "1", "--symbols", "2", "--out", str(out), "--quiet"])
         assert code == 1
-        assert "antennas and users must be >= 1" in capsys.readouterr().err
+        name = "antennas" if flags[1] == "0" else "users"
+        assert capsys.readouterr().err == f"error: {name} must be an integer >= 1, got 0\n"
         assert not out.exists()
 
     def test_zero_resource_blocks_rejected(self, tmp_path, capsys):
@@ -391,6 +408,38 @@ def test_stdout_equals_file(tmp_path, capsys, channel_file, command, out_flag):
     capsys.readouterr()
     assert cli_dispatch([*command, "--quiet"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+class TestReports:
+    """Reports go through the `sparsebeam.cli` logger to the stdout of the
+    call; errors go to stderr."""
+
+    HISTOGRAM = ["histogram", "--L", "2", "--K", "3"]
+
+    def test_each_dispatch_reports_once(self, tmp_path, capsys):
+        root = logging.getLogger()
+        extra = logging.StreamHandler(sys.stdout)
+        root.addHandler(extra)
+        level = root.level
+        root.setLevel(logging.INFO)
+        try:
+            for attempt in range(2):
+                out = tmp_path / f"hist{attempt}.csv"
+                assert cli_dispatch([*self.HISTOGRAM, "--out", str(out)]) == 0
+                assert capsys.readouterr().out == f"wrote {out} (6 queries per head)\n"
+        finally:
+            root.removeHandler(extra)
+            root.setLevel(level)
+        assert logging.getLogger("sparsebeam.cli").handlers == []
+
+    def test_quiet_silences_reports_but_not_errors(self, tmp_path, capsys):
+        assert cli_dispatch([*self.HISTOGRAM, "--out", str(tmp_path / "hist.csv"), "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert cli_dispatch(["graph", "--L", "2", "--K", "3", "--heads", "0", "--quiet"]) == 1
+        assert capsys.readouterr() == ("", "error: heads must be an integer >= 1, got 0\n")
+        # a later run without --quiet reports again
+        assert cli_dispatch(["graph", "--L", "2", "--K", "3"]) == 0
+        assert "fully connected" in capsys.readouterr().out
 
 
 class TestConfigFile:

@@ -30,9 +30,16 @@ def test_snapshot_is_deterministic(tmp_path):
     files = [f"{run}.json" for run in runs] + ["histogram.csv", "channel.bin", "beamform.csv"]
     sweeps = ["sweep", "sweep-default"]
     files += [f"{sweep}.{ext}" for sweep in sweeps for ext in ("csv", "json")]
-    runs += ["masks-printed", "histogram", "histogram-printed", "channel", "beamform", "beamform-printed", *sweeps]
-    assert sorted(first) == sorted(files + [f"{run}.stdout" for run in runs])
+    runs += ["masks-printed", "histogram", "histogram-printed", "channel", "beamform", "beamform-printed", *sweeps,
+             "graph-quiet"]
+    failures = {"beamform-inf": 1, "sweep-repeated": 2, "masks-over-cap": 3}
+    stdouts = [f"{run}.stdout" for run in [*runs, *failures]]
+    assert sorted(first) == sorted(files + stdouts + [f"{run}.stderr" for run in failures])
     assert all(first[f"{run}.stdout"].startswith(b"exit 0\n") for run in runs)
+    assert first["graph-quiet.stdout"] == b"exit 0\n"
+    for run, code in failures.items():
+        assert first[f"{run}.stdout"] == f"exit {code}\n".encode()
+        assert b"error: " in first[f"{run}.stderr"].splitlines()[-1]
     for sweep in sweeps:
         assert b'"build"' not in first[f"{sweep}.json"] and b'"timestamp"' not in first[f"{sweep}.json"]
     assert first["sweep-default.csv"].count(b"\n") == 1 + 7 * 2 * 3

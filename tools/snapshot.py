@@ -4,8 +4,8 @@ Usage: PYTHONPATH=<tree>/src python tools/snapshot.py OUT
 
 Every command runs in process through `sparsebeam.cli.cli_dispatch`,
 inside OUT so that the paths it reports are the same in any OUT.  Each
-command's exit code and stdout go to `<name>.stdout`, beside the file
-it writes:
+command's exit code and stdout go to `<name>.stdout`, and its stderr,
+when there is any, to `<name>.stderr`, beside the file it writes:
 
 - `masks` JSON on 17 of the grids whose hop diameters the tests lock
   (the canonical slot with 3 and 4 heads among them), and
@@ -18,7 +18,11 @@ it writes:
   timestamp, which change with every build and run;
 - the same for a sweep on the default axes (7 SNR points, both velocity
   ranges, zf, mmse and opt at the default 100 optimizer steps) at 3
-  realizations and a finite estimation SNR.
+  realizations and a finite estimation SNR;
+- one run of each failure exit: `beamform --snr-db inf` (1), a repeated
+  `sweep --methods` entry (2) and `masks` over the token cap (3), and
+  one `graph --quiet` run.  argparse wraps its usage line at the
+  terminal width, so the snapshot pins `COLUMNS` to 80.
 
 The default grid's masks, the histogram and the beamform CSV are also
 printed to stdout.  Two trees give the same outputs when their
@@ -33,6 +37,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from sparsebeam.cli import cli_dispatch
 
@@ -59,11 +64,14 @@ GRIDS = [
 
 
 def _run(name: str, argv: list) -> None:
-    """Run one command and keep its exit code and stdout as `<name>.stdout`."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    """Run one command and keep its exit code and stdout as `<name>.stdout`
+    and its stderr, unless empty, as `<name>.stderr`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_dispatch(argv)
     Path(f"{name}.stdout").write_text(f"exit {code}\n{stdout.getvalue()}", encoding="utf-8", newline="\n")
+    if stderr.getvalue():
+        Path(f"{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8", newline="\n")
 
 
 def snapshot(out: Path) -> None:
@@ -71,7 +79,8 @@ def snapshot(out: Path) -> None:
     cwd = os.getcwd()
     os.chdir(out)
     try:
-        _commands()
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            _commands()
     finally:
         os.chdir(cwd)
 
@@ -99,6 +108,10 @@ def _commands() -> None:
     _sweep("sweep", ["--snr-db=-5,20", "--realizations", "6", "--est-snr-db", "15", "--opt-iterations", "20",
                      "--seed", "7"])
     _sweep("sweep-default", ["--realizations", "3", "--est-snr-db", "10", "--seed", "4"])
+    _run("beamform-inf", [*beamform, "--snr-db", "inf", "--csv", "beamform-inf.csv"])
+    _run("sweep-repeated", ["sweep", "--methods", "zf,zf"])
+    _run("masks-over-cap", ["masks", "--L", "300", "--K", "300"])
+    _run("graph-quiet", ["graph", "--quiet"])
 
 
 def _sweep(name: str, flags: list) -> None:
