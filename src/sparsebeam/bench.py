@@ -99,6 +99,11 @@ class SweepConfig:
                 raise ValueError(f"methods must be a non-empty subset of {KNOWN_METHODS}, each named once")
         if "zf" in self.methods and self.rx_antennas < self.users:
             raise ValueError("zf needs rx_antennas >= users")
+        # Tuples keep the config comparable and hashable whatever
+        # sequences (lists, numpy arrays) its axes came as.
+        object.__setattr__(self, "snr_db_list", tuple(self.snr_db_list))
+        object.__setattr__(self, "velocity_ranges", tuple(map(tuple, self.velocity_ranges)))
+        object.__setattr__(self, "methods", tuple(self.methods))
 
 
 @contextlib.contextmanager

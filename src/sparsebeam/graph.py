@@ -7,16 +7,20 @@ gcd bridging condition under which the union graph connects all
 classes, and measures hop diameters by breadth-first search.  It
 measures; it does not prove.
 
-The search packs the union graph into a (tokens, ceil(tokens/64))
-uint64 bit matrix and runs level-synchronous BFS for a chunk of
-searches at once, each search's visited set held as one bit row.
-Sources with the same out-row have the same distances to every other
-node, so `hop_diameter` groups every row by exact equality, keeps the
-classes that hold a source (all tokens, or the sampled ones), and runs
-one search per class, seeded with the shared out-row at level 1; a
-lone source's own entry is then reset to 0.  Chunks are sized so that
-one level's gathered out-rows stay near 1 MB, the peak working set
-beyond the bit matrix itself.  Each chunk is reduced to its maximum and
+The search runs level-synchronous BFS for many searches at once, each
+search one bit column.  Sources with the same out-row have the same
+distances to every other node, so `hop_diameter` groups every row by
+exact equality, keeps the classes that hold a source (all tokens, or
+the sampled ones), and searches from each class's first source: class
+c of a chunk is bit c % 64 of word row c // 64 of a (words, tokens)
+uint64 matrix.  A level sets t's bits to the OR of its in-neighbours'
+fresh bits, one gather over the in-CSR and one `reduceat`.  The
+undirected in-CSR is the union CSR itself, the directed one its
+transpose.  A lone source is reached at level 0, so its return path is
+no distance; in a class of twins, reaching a member is a path from its
+twins.  The diameter is the last level that sets a bit, and the unset
+bits are the unreachable pairs.  Chunks are sized so that one level's
+gathered words stay near 1 MiB; each chunk is reduced to its depth and
 its candidate witness pairs before the next one runs, and the
 candidates of all chunks are sorted once at the end.
 """
@@ -28,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _check_count
 from .masks import DOPPLER_AWARE, GridSpec, SparseMaskSet, _group_rows, _pairs_to_csr, build_doppler_masks, global_stride, head_strides
 
 DEFAULT_BFS_CAP = 4096
@@ -103,48 +107,6 @@ def bridging_condition(step: int, stride: int) -> bool:
     return math.gcd(step, stride) == 1
 
 
-def _bit(j):
-    return np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
-
-
-def _adjacency_bits(indptr, indices, tokens):
-    """Pack a CSR graph into a (tokens, ceil(tokens/64)) uint64 bit
-    matrix: bit j % 64 of word j // 64 in row i is set iff i -> j."""
-    adj = np.zeros((tokens, -(-tokens // 64)), dtype=np.uint64)
-    rows = np.repeat(np.arange(tokens, dtype=np.int64), np.diff(indptr))
-    np.bitwise_or.at(adj, (rows, indices >> 6), _bit(indices))
-    return adj
-
-
-def _bfs_levels(adj, seeds):
-    """Hop distances (int64, -1 if unreachable), one row per row of the
-    bit matrix `seeds`: the nodes set in seeds[k] sit at level 1, and
-    level-synchronous BFS runs on from them for all rows at once.
-
-    `reach` holds each row's visited set as bits; a level ORs the
-    out-rows of every frontier node per row in one `reduceat`.
-    """
-    tokens = adj.shape[0]
-    dist = np.full((seeds.shape[0], tokens), -1, dtype=np.int64)
-    reach = seeds.copy()
-    fresh, active = seeds, np.arange(seeds.shape[0])
-    level = 0
-    while True:
-        level += 1
-        octets = fresh.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(octets, axis=1, count=tokens, bitorder="little")
-        row, nodes = np.nonzero(bits)
-        if not nodes.size:
-            return dist
-        owner = active[row]
-        dist[owner, nodes] = level
-        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        active = owner[starts]
-        fresh = np.bitwise_or.reduceat(adj[nodes], starts, axis=0)
-        fresh &= ~reach[active]
-        reach[active] |= fresh
-
-
 def union_adjacency(maskset: SparseMaskSet, undirected: bool = False):
     """CSR adjacency of the union attention graph.
 
@@ -212,8 +174,9 @@ def hop_diameter(
     """
     if mode not in ("directed", "undirected"):
         raise ValueError("mode must be 'directed' or 'undirected'")
-    if sample_sources < 1:
-        raise ValueError("sample_sources must be >= 1")
+    _check_count("bfs_cap", bfs_cap, 0)
+    _check_count("sample_sources", sample_sources, 1)
+    _check_count("seed", seed, 0)
     tokens = maskset.tokens
     if tokens > bfs_cap and not sample:
         raise ResourceLimitError(
@@ -229,32 +192,54 @@ def hop_diameter(
         sampled = False
 
     # Sources with equal out-rows N are twins: d(i, t) = 1 + min over n
-    # in N of d(n, t) for every t != i, so one search seeded with N at
-    # level 1 gives row e with d(i, t) = e[t] for all of them.
+    # in N of d(n, t) for every t != i, so one search from the class's
+    # first source gives d(i, t) for all of them.
     members, bounds = _twin_classes(indptr, indices, sources)
     firsts = members[bounds[:-1]]  # each class's smallest source
+    lone = np.diff(bounds) == 1
+    if mode == "undirected":
+        in_indptr, in_indices = indptr, indices
+    else:
+        tails = np.repeat(np.arange(tokens, dtype=np.int64), np.diff(indptr))
+        in_indptr, in_indices = _pairs_to_csr(indices, tails, tokens)
+    filled = np.flatnonzero(np.diff(in_indptr))  # reduceat has no empty segments
 
-    adj = _adjacency_bits(indptr, indices, tokens)
-    # Worst case, one level gathers every token's out-row for every
-    # row of the chunk; size chunks so that stays near _CHUNK_BYTES.
-    chunk = max(1, _CHUNK_BYTES // (tokens * adj.shape[1] * adj.itemsize))
+    # A level gathers every in-edge's words and the witnesses unpack
+    # every token's bits to bytes: size chunks so both stay near _CHUNK_BYTES.
+    words = min(-(-firsts.size // 64), max(1, _CHUNK_BYTES // (8 * max(in_indices.size, 8 * tokens))))
     best = 0
     found: list[tuple[int, int]] = []
-    for lo in range(0, firsts.size, chunk):
-        hi = min(lo + chunk, firsts.size)
-        dist = _bfs_levels(adj, adj[firsts[lo:hi]])
-        # A lone source's own entry is a return path; d(i, i) = 0.  In a
-        # class of twins e[i] is the distance from i's twins to i.
-        lone = np.flatnonzero(np.diff(bounds[lo : hi + 1]) == 1)
-        dist[lone, firsts[lo + lone]] = 0
-        best = max(best, int(dist.max()))
+    for lo in range(0, firsts.size, 64 * words):
+        origins = firsts[lo : lo + 64 * words]
+        col = np.arange(origins.size)
+        fresh = np.zeros((words, tokens), dtype=np.uint64)
+        fresh[col >> 6, origins] = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+        # A lone source is reached at level 0, so its return path is no
+        # distance.  In a class of twins, reaching i is a path from i's twins.
+        reach = np.zeros_like(fresh)
+        sole = origins[lone[lo : lo + 64 * words]]
+        reach[:, sole] = fresh[:, sole]
+        level = 0
+        while True:
+            # t is reached at the next level iff some in-neighbour is fresh
+            gathered = np.zeros_like(fresh)
+            edges = np.take(fresh, in_indices, axis=1)
+            gathered[:, filled] = np.bitwise_or.reduceat(edges, in_indptr[filled], axis=1)
+            fresh = gathered & ~reach
+            if not fresh.any():
+                break
+            reach |= fresh
+            level += 1
+        best = max(best, level)
         # The first _WITNESS_LIMIT witnesses by source, then target, are
         # among each class's first _WITNESS_LIMIT + 1 twins and targets:
         # no source needs more targets than the limit besides itself,
         # and at most one source of a class can lack a target.
-        for r in np.flatnonzero((dist < 0).any(axis=1)):
-            targets = np.flatnonzero(dist[r] < 0)[: _WITNESS_LIMIT + 1].tolist()
-            twins = members[bounds[lo + r] : bounds[lo + r + 1]][: _WITNESS_LIMIT + 1].tolist()
+        octets = np.ascontiguousarray(~reach.T, dtype="<u8").view(np.uint8)
+        unreached = np.unpackbits(octets, axis=1, count=origins.size, bitorder="little").T
+        for c in np.flatnonzero(unreached.any(axis=1)):
+            targets = np.flatnonzero(unreached[c])[: _WITNESS_LIMIT + 1].tolist()
+            twins = members[bounds[lo + c] : bounds[lo + c + 1]][: _WITNESS_LIMIT + 1].tolist()
             found += [(i, t) for i in twins for t in targets if t != i]
     witnesses = sorted(found)[:_WITNESS_LIMIT]
     if witnesses:

@@ -164,6 +164,26 @@ class TestRunSweep:
             export_report(run_sweep(config, timestamp="t"), "csv", tmp_path / f"{name}.csv")
         assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
 
+    def test_array_configs_compare_and_hash_equal(self, tmp_path):
+        # two equal array configs used to raise numpy's "truth value ...
+        # is ambiguous" on ==, and hash() raised TypeError
+        def arrays():
+            return dataclasses.replace(
+                SMALL,
+                snr_db_list=np.array([0.0, 10.0]),
+                velocity_ranges=np.array([[0.0, 10.0], [30.0, 40.0]]),
+                methods=np.array(["zf", "mmse"]),
+                realizations=3,
+            )
+
+        first, second = arrays(), arrays()
+        assert first == second and hash(first) == hash(second)
+        lists = dataclasses.replace(first, velocity_ranges=[[0.0, 10.0], [30.0, 40.0]], methods=["zf", "mmse"])
+        assert lists == first and hash(lists) == hash(first)
+        for name, config in (("first", first), ("second", second)):
+            export_report(run_sweep(config, timestamp="t"), "csv", tmp_path / f"{name}.csv")
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
     @pytest.mark.parametrize("field, empty", [("snr_db_list", np.array([])), ("velocity_ranges", np.zeros((0, 2))),
                                               ("methods", np.array([], dtype=str)), ("snr_db_list", ())])
     def test_empty_axis_rejected_naming_the_field(self, field, empty):

@@ -239,10 +239,55 @@ class TestHopDiameter:
         for kwargs in runs:
             expected = hop_diameter_reference(masks, mode, **kwargs).to_json_dict()
             assert hop_diameter(masks, mode, **kwargs).to_json_dict() == expected
-            # one row class per chunk: witnesses merge across chunks
+            # the smallest budget, 64 row classes per chunk, holds all of
+            # these grids' classes (test_many_chunks_match_per_source_oracle
+            # merges chunks)
             with mock.patch.object(graph, "_CHUNK_BYTES", 1):
                 assert hop_diameter(masks, mode, **kwargs).to_json_dict() == expected
         assert hop_diameter(masks, mode).diameter == oracle_diameter
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_many_chunks_match_per_source_oracle(self, mode):
+        # A ring in random order over every token but 100, plus 2 random
+        # keys per row, makes over 128 row classes, so the smallest
+        # budget (64 classes per chunk) runs 4 chunks.  Token 100 has no
+        # in-edges, so every other source has the one directed witness
+        # (i, 100), and the first ten come from classes in every chunk.
+        # Rows 40 and 41 are twins, row 50 is a lone source with a
+        # self-loop, and most others are lone without one.
+        rng = np.random.default_rng(2)
+        ring = rng.permutation([t for t in range(200) if t != 100]).tolist()
+        after = dict(zip(ring, ring[1:] + ring[:1]))
+        rows = [sorted({after.get(i, ring[0]), *rng.choice(ring, 2, replace=False).tolist()}) for i in range(200)]
+        rows[41], rows[50] = rows[40], sorted({50, *rows[50]})
+        masks = SparseMaskSet.from_rows(GridSpec(1, 200, heads=1), "doppler_aware", [rows])
+        indptr, indices = union_adjacency(masks, undirected=(mode == "undirected"))
+        members, bounds = graph._twin_classes(indptr, indices, np.arange(200))
+        assert bounds.size - 1 > 128
+        chunk = np.empty(200, dtype=np.int64)
+        chunk[members] = np.repeat(np.arange(bounds.size - 1) // 64, np.diff(bounds))
+        if mode == "directed":
+            assert set(chunk[:10]) == {0, 1, 2, 3}
+        expected = hop_diameter_reference(masks, mode).to_json_dict()
+        assert (expected["diameter"], expected["unreachable_pairs"]) == {
+            "directed": (None, [[i, 100] for i in range(10)]),
+            "undirected": (5, []),
+        }[mode]
+        assert hop_diameter(masks, mode).to_json_dict() == expected
+        with mock.patch.object(graph, "_CHUNK_BYTES", 1):
+            assert hop_diameter(masks, mode).to_json_dict() == expected
+
+    def test_diameter_is_the_deepest_chunks_depth(self):
+        # The path 0-2-4-...-198-199-197-...-3-1 has 200 undirected row
+        # classes, 4 chunks at the smallest budget, and only its ends 0
+        # and 1, whose classes sort into the first chunk, are 199 hops apart.
+        order = [*range(0, 200, 2), *range(199, 0, -2)]
+        rows = [[] for _ in range(200)]
+        for a, b in zip(order, order[1:]):
+            rows[a].append(b)
+        masks = SparseMaskSet.from_rows(GridSpec(1, 200, heads=1), "doppler_aware", [rows])
+        with mock.patch.object(graph, "_CHUNK_BYTES", 1):
+            assert hop_diameter(masks, "undirected").diameter == 199
 
     def test_witnesses_of_interleaved_twin_classes(self):
         # Queries 0 and 5 share the row [3]; query 3 alone has [6, 7].
@@ -301,6 +346,18 @@ class TestHopDiameter:
     def test_sampling_needs_a_source(self, canonical_masks):
         with pytest.raises(ValueError, match="sample_sources"):
             hop_diameter(canonical_masks, "undirected", bfs_cap=100, sample=True, sample_sources=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bfs_cap", 2.5), ("bfs_cap", -1), ("sample_sources", True), ("sample_sources", 2.0), ("seed", 1.5),
+         ("seed", -1)],
+    )
+    def test_rejects_bad_counts_by_name(self, canonical_masks, field, value):
+        # True and 1.5 used to die inside numpy's sampler with a TypeError,
+        # and bfs_cap=2.5 was taken as a cap
+        kwargs = {"bfs_cap": 100, "sample": True, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            hop_diameter(canonical_masks, "undirected", **kwargs)
 
     def test_rejects_unknown_mode(self, canonical_masks):
         with pytest.raises(ValueError):

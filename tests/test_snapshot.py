@@ -27,6 +27,7 @@ def test_snapshot_is_deterministic(tmp_path):
         runs += [f"masks-doppler-{tag}", f"graph-{tag}"]
         if heads == 2:
             runs += [f"masks-fixed-{tag}", f"masks-fixed-causal-{tag}"]
+    runs += [f"graph-64x64h{heads}" for heads in tool.LARGE_GRAPH_HEADS]
     files = [f"{run}.json" for run in runs] + ["histogram.csv", "channel.bin", "beamform.csv"]
     sweeps = ["sweep", "sweep-default"]
     files += [f"{sweep}.{ext}" for sweep in sweeps for ext in ("csv", "json")]

@@ -10,7 +10,9 @@ when there is any, to `<name>.stderr`, beside the file it writes:
 - `masks` JSON on 17 of the grids whose hop diameters the tests lock
   (the canonical slot with 3 and 4 heads among them), and
   fixed-strided masks, causal and not, on the 2-head ones;
-- `graph --report` JSON on the same grids;
+- `graph --report` JSON on the same grids, and on the 4096-token 64x64
+  grid at 2 and 3 heads (no masks JSON), whose searches run in several
+  chunks;
 - the attended-keys histogram CSV;
 - a `channel` file of the default slot, and the `beamform` CSV of zf,
   mmse and opt on it;
@@ -62,6 +64,9 @@ GRIDS = [
     (14, 48, 4, 4.0),
 ]
 
+# heads of the 64x64 grids whose reports are kept without their masks
+LARGE_GRAPH_HEADS = (2, 3)
+
 
 def _run(name: str, argv: list) -> None:
     """Run one command and keep its exit code and stdout as `<name>.stdout`
@@ -96,6 +101,9 @@ def _commands() -> None:
             name = f"masks-{pattern}-{tag}"
             _run(name, ["masks", *grid, *flags, "--out", f"{name}.json"])
         _run(f"graph-{tag}", ["graph", *grid, "--report", f"graph-{tag}.json"])
+    for heads in LARGE_GRAPH_HEADS:
+        _run(f"graph-64x64h{heads}", ["graph", "--L", "64", "--K", "64", "--heads", str(heads),
+                                      "--report", f"graph-64x64h{heads}.json"])
     _run("masks-printed", ["masks"])
     _run("histogram", ["histogram", "--out", "histogram.csv"])
     _run("histogram-printed", ["histogram"])
