@@ -3,7 +3,10 @@
 The sparse forward pass attends each distinct mask row (row class)
 once: the queries that share a row form dense blocks against that
 row's gathered keys and values.  Both passes walk each head's blocks
-in tiles whose temporaries stay near cache size.  The dense oracle
+in tiles, slices of consecutive blocks whose temporaries stay near
+cache size.  A padded slot (query -1) attends with the last token's
+query; the forward writes it to a spare output row that it drops, and
+the backward gives it no upstream gradient.  The dense oracle
 materializes the full score matrix and masks with -inf before the
 softmax.  Both paths must agree to float precision, and the
 hand-written backward pass is checked against central finite
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_count
 from .masks import RowBlocks, SparseMaskSet
 
 _GRADIENT_CHECK_STEP = 1e-5
@@ -37,7 +41,12 @@ class EmbeddingBlock:
     values: np.ndarray
 
     def __post_init__(self):
-        q, k, v = (np.asarray(a, dtype=np.float64) for a in (self.queries, self.keys, self.values))
+        arrays = [np.asarray(a) for a in (self.queries, self.keys, self.values)]
+        if any(np.iscomplexobj(a) for a in arrays):
+            raise ValueError("embeddings must be real, got a complex array")
+        # Stored C-contiguous float64 once: `take` copies a non-contiguous
+        # source whole on every call, and the kernel calls it per tile.
+        q, k, v = (np.ascontiguousarray(a, dtype=np.float64) for a in arrays)
         if q.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
             raise ValueError("queries, keys, values must share shape (heads, tokens, head_dim)")
         if q.shape[2] < 1:
@@ -65,6 +74,9 @@ class EmbeddingBlock:
     @classmethod
     def random(cls, tokens: int, model_dim: int, heads: int, seed: int = 0) -> "EmbeddingBlock":
         """Seeded standard-normal embeddings with model_dim split across heads."""
+        _check_count("tokens", tokens, 0)
+        _check_count("model_dim", model_dim, 0)
+        _check_count("heads", heads, 1)
         if model_dim % heads:
             raise ValueError("model_dim must be divisible by the head count")
         rng = np.random.default_rng(seed)
@@ -93,45 +105,28 @@ def _check_block(block: EmbeddingBlock, masks: SparseMaskSet) -> None:
         )
 
 
-def _tiles(packed: RowBlocks, d: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+def _tiles(packed: RowBlocks, d: int) -> list[slice]:
     """A head's row blocks in tiles of consecutive blocks whose largest
     temporary (scores, gathered K or V, or q) holds at most
-    `_TILE_ENTRIES` entries, or of one block if a block alone is larger.
-    Each tile is (its block slice, the queries it places, their flat
-    slots within the tile), in block order."""
+    `_TILE_ENTRIES` entries, or of one block if a block alone is larger,
+    in block order."""
     blocks, n = packed.queries.shape
     width = packed.keys.shape[1]
     step = max(1, _TILE_ENTRIES // max(n * width, width * d, n * d))
-    if step >= blocks:  # what the cut below gives, without its cost at desk scale
-        return [(slice(0, blocks), packed.placed, packed.slots)]
-    # Slots ascend (blocks are numbered in class order), so each tile
-    # places one run of them.
-    bounds = [*range(0, blocks, step), blocks]
-    cuts = np.searchsorted(packed.slots, [b * n for b in bounds]).tolist()
-    return [
-        (slice(a, b), packed.placed[lo:hi], packed.slots[lo:hi] - a * n)
-        for a, b, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:])
-    ]
+    return [slice(a, a + step) for a in range(0, blocks, step)]
 
 
-def _head_arrays(block: EmbeddingBlock, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The head's (tokens, d) Q, K and V, C-contiguous: `take` copies a
-    non-contiguous source whole on every call, and it runs per tile."""
-    q, k, v = block.queries[head], block.keys[head], block.values[head]
-    return np.ascontiguousarray(q), np.ascontiguousarray(k), np.ascontiguousarray(v)
-
-
-def _class_attention(head: tuple[np.ndarray, np.ndarray, np.ndarray], packed: RowBlocks, tile: slice):
-    """One head's softmax attention over a tile of its row blocks: q
+def _class_attention(block: EmbeddingBlock, h: int, packed: RowBlocks, tile: slice):
+    """Head h's softmax attention over a tile of its row blocks: q
     (blocks, n, d) against each block's gathered k, v (blocks, width,
-    d), from the head's `_head_arrays`.  Returns q scaled by 1/sqrt(d),
-    k, v and the weights (blocks, n, width; 0 on padded keys)."""
-    queries, keys, values = head
-    q = queries.take(packed.queries[tile], axis=0)
+    d).  Returns q scaled by 1/sqrt(d), k, v and the weights (blocks, n,
+    width; 0 on padded keys).  A padded slot's q is the last token's,
+    which only keeps its row finite: the caller drops it."""
+    q = block.queries[h].take(packed.queries[tile], axis=0)
     q *= 1.0 / math.sqrt(q.shape[2])
     rows = packed.keys[tile]
-    k = keys.take(rows, axis=0)
-    v = values.take(rows, axis=0)
+    k = block.keys[h].take(rows, axis=0)
+    v = block.values[h].take(rows, axis=0)
     weights = np.matmul(q, k.transpose(0, 2, 1))
     np.copyto(weights, -np.inf, where=~packed.key_valid[tile, None, :])
     # Every block row has a key, so the max is finite; exp(-inf) = 0 on padding.
@@ -151,15 +146,16 @@ def sparse_attention_forward(block: EmbeddingBlock, masks: SparseMaskSet) -> Att
     """
     _check_block(block, masks)
     d = block.head_dim
-    output = np.zeros((block.tokens, block.model_dim))
+    # Padded slots (query -1) write the extra last row, which is dropped.
+    output = np.zeros((block.tokens + 1, block.model_dim))
     empty: list[tuple[int, int]] = []
     for h in range(block.heads):
-        packed, head = masks.row_blocks(h), _head_arrays(block, h)
-        for tile, queries, slots in _tiles(packed, d):
-            _, _, v, weights = _class_attention(head, packed, tile)
-            output[queries, h * d : (h + 1) * d] = np.matmul(weights, v).reshape(-1, d).take(slots, axis=0)
+        packed = masks.row_blocks(h)
+        for tile in _tiles(packed, d):
+            _, _, v, weights = _class_attention(block, h, packed, tile)
+            output[packed.queries[tile].ravel(), h * d : (h + 1) * d] = np.matmul(weights, v).reshape(-1, d)
         empty.extend((h, int(i)) for i in np.flatnonzero(masks.row_lengths(h) == 0))
-    return AttentionResult(output, empty)
+    return AttentionResult(output[:-1], empty)
 
 
 def dense_masked_oracle(block: EmbeddingBlock, masks: SparseMaskSet) -> AttentionResult:
@@ -208,13 +204,15 @@ def sparse_attention_backward(block: EmbeddingBlock, masks: SparseMaskSet, d_out
     d_k = np.zeros_like(block.keys)
     d_v = np.zeros_like(block.values)
     for h in range(block.heads):
-        packed, head = masks.row_blocks(h), _head_arrays(block, h)
+        packed = masks.row_blocks(h)
         # Tiles run in block order, so np.add.at sums in the same order
         # as one pass over the whole head.
-        for tile, queries, slots in _tiles(packed, d):
-            q, k, v, weights = _class_attention(head, packed, tile)
-            g = np.zeros(q.shape)  # padded slots carry no gradient
-            g.reshape(-1, d)[slots] = d_out[queries, h * d : (h + 1) * d]
+        for tile in _tiles(packed, d):
+            q, k, v, weights = _class_attention(block, h, packed, tile)
+            queries = packed.queries[tile]
+            real = queries >= 0
+            g = d_out[queries, h * d : (h + 1) * d]
+            g[~real] = 0.0  # padded slots carry no gradient
             valid = packed.key_valid[tile]
             keys = packed.keys[tile][valid]
             # values: each attended v_j collects weight * upstream gradient
@@ -222,7 +220,7 @@ def sparse_attention_backward(block: EmbeddingBlock, masks: SparseMaskSet, d_out
             # softmax backward: ds = w * (a - sum_j w_j a_j), a = g . v_j
             a = np.matmul(g, v.transpose(0, 2, 1))
             ds = weights * (a - (weights * a).sum(axis=2, keepdims=True))
-            d_q[h][queries] = (np.matmul(ds, k) * scale).reshape(-1, d)[slots]
+            d_q[h][queries[real]] = (np.matmul(ds, k) * scale)[real]
             np.add.at(d_k[h], keys, np.matmul(ds.transpose(0, 2, 1), q)[valid])
     return d_q, d_k, d_v
 
@@ -249,10 +247,9 @@ def gradient_check(block: EmbeddingBlock, masks: SparseMaskSet) -> float:
         return float((out**2).sum())
 
     worst = 0.0
-    # Perturb private C-contiguous copies: ravel() of a non-contiguous
-    # array is a copy the forward would never see, and the caller's
-    # block is never written.
-    arrays = tuple(np.array(a, order="C") for a in (block.queries, block.keys, block.values))
+    # Perturb private copies (C-contiguous, like the block's arrays, so
+    # reshape(-1) is a view): the caller's block is never written.
+    arrays = tuple(a.copy() for a in (block.queries, block.keys, block.values))
     grads = (d_q, d_k, d_v)
     for arr, grad in zip(arrays, grads):
         flat = arr.reshape(-1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import _check_count, _check_real
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -46,6 +46,12 @@ class DopplerConfig:
     def __post_init__(self):
         if not (0 < self.carrier_hz < math.inf):
             raise ValueError("carrier frequency must be finite and > 0")
+        v = self.velocity_mps
+        pair = isinstance(v, (tuple, list)) or (isinstance(v, np.ndarray) and v.ndim == 1)
+        if pair and len(v) != 2:
+            raise ValueError(f"velocity_mps must be a number or a (lo, hi) pair, got {v!r}")
+        for value in v if pair else (v,):
+            _check_real("velocity_mps", value)
         lo, hi = self.velocity_bounds
         if not (0 <= lo <= hi < math.inf):
             raise ValueError("velocity range must be finite with 0 <= lo <= hi")

@@ -24,3 +24,10 @@ def _check_count(name: str, value, low: int) -> None:
     integer (Python or numpy) >= `low`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise `ValueError` naming `name` unless `value` is a non-bool
+    real number (Python or numpy): a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceLimitError, _check_count
+from .errors import ResourceLimitError, _check_count, _check_real
 
 DEFAULT_TOKEN_CAP = 65536
 
@@ -66,8 +66,9 @@ class GridSpec:
     def __post_init__(self):
         for name in ("symbols", "subcarriers", "heads"):
             _check_count(name, getattr(self, name), 1)
+        _check_real("time_bias", self.time_bias)
         if not (self.time_bias >= 1.0) or not math.isfinite(self.time_bias):
-            raise ValueError("time bias must be a finite real >= 1")
+            raise ValueError(f"time_bias must be a finite real >= 1, got {self.time_bias!r}")
 
     @property
     def tokens(self) -> int:
@@ -164,16 +165,14 @@ class RowBlocks(NamedTuple):
 
     Blocks have n slots, n being the mean size of the non-empty classes;
     a larger class spans several blocks, so there are at most
-    3 x tokens slots on any mask.  Padded slots hold query 0 and padded
-    keys hold key 0; `slots` marks the real ones and `key_valid` the
-    real keys.
+    3 x tokens slots on any mask.  A block's real slots come first;
+    padded slots hold query -1 and padded keys hold key 0, and
+    `key_valid` marks the real keys.
     """
 
-    queries: np.ndarray  # (blocks, n) query of each slot
+    queries: np.ndarray  # (blocks, n) query of each slot, -1 if padded
     keys: np.ndarray  # (blocks, width) the block's key row, padded
     key_valid: np.ndarray  # (blocks, width) True on the row's keys
-    placed: np.ndarray  # (m,) every query whose row is non-empty
-    slots: np.ndarray  # (m,) flat slot (block * n + position) of each placed query
 
 
 def _pack_row_blocks(classes, indptr, indices):
@@ -187,16 +186,15 @@ def _pack_row_blocks(classes, indptr, indices):
     rank = np.arange(classes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     slot = np.repeat((np.cumsum(blocks) - blocks) * n, sizes) + rank
     keep = np.repeat(live, sizes)
-    placed, slots = order[keep], slot[keep]
-    queries = np.zeros(int(blocks.sum()) * n, dtype=np.int64)
-    queries[slots] = placed
+    queries = np.full(int(blocks.sum()) * n, -1, dtype=np.int64)
+    queries[slot[keep]] = order[keep]
 
     block_class = np.repeat(np.arange(lengths.size), blocks)
     width = max(1, int(lengths.max()))
     key_valid = np.arange(width) < lengths[block_class, None]
     keys = np.zeros(key_valid.shape, dtype=np.int64)
     keys[key_valid] = indices[(indptr[block_class, None] + np.arange(width))[key_valid]]
-    return RowBlocks(queries.reshape(-1, n), keys, key_valid, placed, slots)
+    return RowBlocks(queries.reshape(-1, n), keys, key_valid)
 
 
 def global_stride(tokens: int, heads: int) -> int:

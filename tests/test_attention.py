@@ -148,6 +148,20 @@ class TestForward:
         with pytest.raises(ValueError, match="head_dim must be >= 1"):
             EmbeddingBlock.random(6, 0, 2)
 
+    def test_complex_input_rejected(self):
+        data = np.ones((1, 3, 2))
+        with pytest.raises(ValueError, match="real"):
+            EmbeddingBlock(data + 1j, data, data)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [((6, 4, 0), "heads"), ((2.5, 4, 2), "tokens"), ((6, True, 1), "model_dim")],
+        ids=["zero-heads", "float-tokens", "bool-model-dim"],
+    )
+    def test_random_rejects_bad_counts_by_name(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            EmbeddingBlock.random(*args)
+
     def test_nonfinite_input_rejected(self):
         data = np.zeros((2, 6, 4))
         data[0, 0, 0] = np.nan
@@ -218,9 +232,9 @@ def assert_tiling_is_exact(block, masks):
     block per tile matches the dense oracle."""
     blocks = [masks.row_blocks(h).queries.shape[0] for h in range(block.heads)]
     passes = [tiled_pass(block, masks, budget) for budget in TILE_BUDGETS]
-    assert passes[0][2] == [max(1, b) for b in blocks]
+    assert passes[0][2] == blocks
     whole, whole_grads, whole_tiles = passes[-1]
-    assert whole_tiles == [1] * block.heads
+    assert whole_tiles == [min(1, b) for b in blocks]
     for result, grads, _ in passes[:-1]:
         assert result.output.tobytes() == whole.output.tobytes()
         assert result.empty_rows == whole.empty_rows
@@ -244,6 +258,27 @@ def working_peak_mib(call):
     return (peak - sum(a.nbytes for a in arrays)) / 2**20
 
 
+def backward_gap(block, masks, d_out, step=1e-5):
+    """Largest absolute gap between `sparse_attention_backward` and the
+    central differences of sum(out * d_out) on every Q/K/V entry."""
+    analytic = sparse_attention_backward(block, masks, d_out)
+    arrays = [block.queries.copy(), block.keys.copy(), block.values.copy()]
+    worst = 0.0
+    for which, grad in enumerate(analytic):
+        flat = arrays[which].reshape(-1)
+        for pos in range(flat.size):
+            orig = flat[pos]
+            sides = []
+            for value in (orig + step, orig - step):
+                flat[pos] = value
+                out = sparse_attention_forward(EmbeddingBlock(*arrays), masks).output
+                sides.append(float((out * d_out).sum()))
+            flat[pos] = orig
+            numeric = (sides[0] - sides[1]) / (2.0 * step)
+            worst = max(worst, abs(grad.reshape(-1)[pos] - numeric))
+    return worst
+
+
 class TestTiles:
     # Most Tier-1 heads fit in one tile, so the tile boundaries are
     # forced here: a budget of 1 entry makes each row block a tile.
@@ -262,10 +297,10 @@ class TestTiles:
         masks = build(grid)
         block = EmbeddingBlock.random(grid.tokens, 16 * heads, heads, seed=heads)
         assert_tiling_is_exact(block, masks)
-        # non-contiguous activations: each head is made contiguous once
-        # and gives the same bytes
+        # non-contiguous activations are stored C-contiguous and give
+        # the same bytes
         view = EmbeddingBlock(*(np.asfortranarray(a) for a in (block.queries, block.keys, block.values)))
-        assert not view.queries[0].flags.c_contiguous
+        assert all(a.flags.c_contiguous for a in (view.queries, view.keys, view.values))
         assert tiled_pass(view, masks, 1)[0].output.tobytes() == tiled_pass(block, masks, 1)[0].output.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -341,27 +376,25 @@ class TestGradientCheck:
 
 
     def test_backward_matches_central_differences(self):
-        # arbitrary upstream gradient: d/dx sum(out * d_out) by central
-        # differences on every Q/K/V entry
         grid, masks, block = make_case((4, 6, 2, 2.0), seed=2)
         d_out = np.random.default_rng(17).standard_normal((grid.tokens, block.model_dim))
-        analytic = sparse_attention_backward(block, masks, d_out)
-        arrays = [block.queries.copy(), block.keys.copy(), block.values.copy()]
-        step = 1e-5
-        worst = 0.0
-        for which, grad in enumerate(analytic):
-            flat = arrays[which].reshape(-1)
-            for pos in range(flat.size):
-                orig = flat[pos]
-                sides = []
-                for value in (orig + step, orig - step):
-                    flat[pos] = value
-                    out = sparse_attention_forward(EmbeddingBlock(*arrays), masks).output
-                    sides.append(float((out * d_out).sum()))
-                flat[pos] = orig
-                numeric = (sides[0] - sides[1]) / (2.0 * step)
-                worst = max(worst, abs(grad.reshape(-1)[pos] - numeric))
-        assert worst <= 1e-8
+        assert backward_gap(block, masks, d_out) <= 1e-8
+
+    def test_padded_slots_leave_the_last_token_alone(self):
+        # head 0: queries 0-2 share a row, query 3 has its own and the
+        # last query's row is empty, so blocks of 2 slots leave 2 padded
+        # slots (query -1); head 1 attends every key
+        grid = GridSpec(1, 5, heads=2)
+        shared, own = [0, 2], [1, 3, 4]
+        rows = [[shared, shared, shared, own, []], [list(range(5))] * 5]
+        masks = SparseMaskSet.from_rows(grid, "doppler_aware", rows)
+        assert (masks.row_blocks(0).queries == -1).sum() == 2
+        block = EmbeddingBlock.random(grid.tokens, 6, 2, seed=9)
+        out = sparse_attention_forward(block, masks).output
+        assert np.all(out[4, :3] == 0.0) and np.all(out[4, 3:] != 0.0)
+        assert np.abs(out - dense_masked_oracle(block, masks).output).max() <= 1e-12
+        d_out = np.random.default_rng(3).standard_normal(out.shape)
+        assert backward_gap(block, masks, d_out) <= 1e-8
 
     def test_backward_rejects_wrong_shape(self):
         grid, masks, block = make_case((4, 6, 2, 2.0))
@@ -369,14 +402,17 @@ class TestGradientCheck:
             sparse_attention_backward(block, masks, np.zeros((grid.tokens, block.model_dim + 1)))
 
     def test_non_contiguous_block(self):
-        # a transposed view: perturbing its ravel() (a copy) would never
-        # reach the forward
+        # a transposed view is stored C-contiguous and gives the same bytes
         _, masks, block = make_case((4, 6, 2, 2.0), seed=11)
         view = np.ascontiguousarray(block.queries.transpose(2, 1, 0)).transpose(2, 1, 0)
+        assert not view.flags.c_contiguous
         strided = EmbeddingBlock(view, block.keys, block.values)
-        assert not strided.queries.flags.c_contiguous
+        assert strided.queries.flags.c_contiguous
+        assert sparse_attention_forward(strided, masks).output.tobytes() == (
+            sparse_attention_forward(block, masks).output.tobytes()
+        )
         before = [a.copy() for a in (strided.queries, strided.keys, strided.values)]
-        assert gradient_check(strided, masks) <= 1e-5
+        assert gradient_check(strided, masks) == gradient_check(block, masks) <= 1e-5
         for was, now in zip(before, (strided.queries, strided.keys, strided.values)):
             assert np.array_equal(was, now)
 

@@ -136,8 +136,8 @@ class TestRunSweep:
         (((0.0, 10.0), (40.0, 30.0)), "(40.0, 30.0): velocity range must be finite with 0 <= lo <= hi"),
         (((0.0, math.nan),), "(0.0, nan): velocity range must be finite"),
         (((-1.0, 2.0),), "(-1.0, 2.0): velocity range must be finite"),
-        (((0.0, "fast"),), "(0.0, 'fast'): could not convert"),
-        (((None, 1.0),), "(None, 1.0): float() argument"),
+        (((0.0, "fast"),), "(0.0, 'fast'): velocity_mps must be a real number, got 'fast'"),
+        (((None, 1.0),), "(None, 1.0): velocity_mps must be a real number, got None"),
         (5.0, "'float' object is not iterable"),
     ], ids=["scalar", "triple", "nested", "reversed", "nan", "negative", "str", "None", "not_a_sequence"])
     def test_velocity_ranges_must_be_valid_pairs(self, ranges, shown):

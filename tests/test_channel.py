@@ -52,6 +52,14 @@ class TestDopplerConfig:
         expected = 40.0 * 2.6e9 / SPEED_OF_LIGHT
         assert abs(max_doppler(cfg.velocity_bounds[1], cfg.carrier_hz) - expected) / expected < 1e-9
 
+    @pytest.mark.parametrize(
+        "velocity", ["12", True, (1.0, 2.0, 3.0), ("1", 2.0), (0.0, None)],
+        ids=["str", "bool", "triple", "str-in-pair", "none-in-pair"],
+    )
+    def test_velocity_must_be_a_number_or_pair(self, velocity):
+        with pytest.raises(ValueError, match="velocity_mps"):
+            DopplerConfig(velocity_mps=velocity)
+
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             DopplerConfig(velocity_mps=(40.0, 30.0))

@@ -281,13 +281,15 @@ class TestRowClasses:
         masks = ROW_CLASS_CASES[case]()
         for h in range(masks.head_count):
             packed = masks.row_blocks(h)
+            real = packed.queries >= 0
+            # every query with a non-empty row fills exactly one slot
             nonempty = np.flatnonzero(masks.row_lengths(h) > 0)
-            assert np.array_equal(np.sort(packed.placed), nonempty)
-            assert np.unique(packed.slots).size == packed.slots.size
-            assert np.array_equal(packed.queries.reshape(-1)[packed.slots], packed.placed)
+            assert np.array_equal(np.sort(packed.queries[real]), nonempty)
+            # padded slots hold -1, and only after a block's real slots
+            assert np.all(packed.queries[~real] == -1)
+            assert not (real[:, 1:] & ~real[:, :-1]).any()
             assert packed.queries.size <= 3 * masks.tokens
-            blocks_of = packed.slots // packed.queries.shape[1]
-            for query, b in zip(packed.placed, blocks_of):
+            for b, query in zip(np.nonzero(real)[0], packed.queries[real]):
                 assert np.array_equal(packed.keys[b][packed.key_valid[b]], masks.row(h, query))
 
 
@@ -309,6 +311,12 @@ class TestGridSpec:
                            (dict(symbols=14, subcarriers=np.float64(48)), "subcarriers")]:
             with pytest.raises(ValueError, match=field):
                 GridSpec(**bad)
+
+    @pytest.mark.parametrize("time_bias", [True, "2", None], ids=["bool", "str", "none"])
+    def test_time_bias_must_be_a_number(self, time_bias):
+        # True used to build masks whose JSON `from_json_dict` refuses
+        with pytest.raises(ValueError, match="time_bias"):
+            GridSpec(4, 6, 2, time_bias)
 
     def test_numpy_integer_counts_accepted(self):
         assert GridSpec(np.int64(14), 48, heads=np.int32(2)).tokens == 672

@@ -31,13 +31,15 @@ def test_snapshot_is_deterministic(tmp_path):
     files = [f"{run}.json" for run in runs] + ["histogram.csv", "channel.bin", "beamform.csv"]
     sweeps = ["sweep", "sweep-default"]
     files += [f"{sweep}.{ext}" for sweep in sweeps for ext in ("csv", "json")]
-    runs += ["masks-printed", "histogram", "histogram-printed", "channel", "beamform", "beamform-printed", *sweeps,
-             "graph-quiet"]
+    runs += ["masks-printed", "histogram", "histogram-printed", "attn-check", "attn-check-8x8h3", "channel",
+             "beamform", "beamform-printed", *sweeps, "graph-quiet"]
     failures = {"beamform-inf": 1, "sweep-repeated": 2, "masks-over-cap": 3}
     stdouts = [f"{run}.stdout" for run in [*runs, *failures]]
     assert sorted(first) == sorted(files + stdouts + [f"{run}.stderr" for run in failures])
     assert all(first[f"{run}.stdout"].startswith(b"exit 0\n") for run in runs)
     assert first["graph-quiet.stdout"] == b"exit 0\n"
+    for run in ("attn-check", "attn-check-8x8h3"):
+        assert b"max gradient relative error: " in first[f"{run}.stdout"]
     for run, code in failures.items():
         assert first[f"{run}.stdout"] == f"exit {code}\n".encode()
         assert b"error: " in first[f"{run}.stderr"].splitlines()[-1]

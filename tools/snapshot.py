@@ -14,6 +14,10 @@ when there is any, to `<name>.stderr`, beside the file it writes:
   grid at 2 and 3 heads (no masks JSON), whose searches run in several
   chunks;
 - the attended-keys histogram CSV;
+- two `attn-check` runs, whose stdout gives the kernel's deviations
+  from the dense oracle and from central differences to 4 digits: the
+  default 4x6 grid, whose residue head has padded slots, and 8x8 with
+  3 heads;
 - a `channel` file of the default slot, and the `beamform` CSV of zf,
   mmse and opt on it;
 - a small sweep's CSV, and its JSON without the build hash and the
@@ -107,6 +111,9 @@ def _commands() -> None:
     _run("masks-printed", ["masks"])
     _run("histogram", ["histogram", "--out", "histogram.csv"])
     _run("histogram-printed", ["histogram"])
+    _run("attn-check", ["attn-check"])
+    _run("attn-check-8x8h3", ["attn-check", "--L", "8", "--K", "8", "--heads", "3", "--grad-trials", "1",
+                              "--model-dim", "6"])
     _run("channel", ["channel", "--realizations", "3", "--v-min", "30", "--v-max", "40", "--seed", "5",
                      "--out", "channel.bin"])
     beamform = ["beamform", "--channel", "channel.bin", "--method", "zf", "--method", "mmse", "--method", "opt",
